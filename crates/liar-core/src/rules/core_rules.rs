@@ -89,10 +89,10 @@ fn search_per_class<S: Searcher<ArrayLang, ArrayAnalysis>>(
     out
 }
 
-fn resolve_expr(egraph: &AEGraph, binding: &Binding<ArrayLang>) -> Expr {
+fn resolve_expr(egraph: &AEGraph, binding: &Binding<ArrayLang>) -> Arc<Expr> {
     match binding {
-        Binding::Class(id) => (*egraph.data(*id).repr).clone(),
-        Binding::Expr(e) => (**e).clone(),
+        Binding::Class(id) => Arc::clone(egraph.data(*id).repr.expr()),
+        Binding::Expr(e) => Arc::clone(e),
     }
 }
 
@@ -279,14 +279,9 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
             }
         }
         // (λ e↑): abstract over a parameter the body ignores.
-        let repr = std::sync::Arc::clone(&egraph.data(class).repr);
-        let body = shift_up(&repr, 1);
-        let lam = {
-            let mut e = Expr::default();
-            let root = e.append_subtree(&body, body.root());
-            e.add(ArrayLang::Lam(root));
-            e
-        };
+        let repr = Arc::clone(egraph.data(class).repr.expr());
+        let mut lam = shift_up(&repr, 1);
+        lam.add(ArrayLang::Lam(lam.root()));
         let lam_id = egraph.add_expr(&lam);
         let app_id = egraph.add(ArrayLang::App([lam_id, y]));
         let lhs = if explained {

@@ -1,5 +1,7 @@
 //! E-class analyses: semilattice facts attached to every e-class.
 
+use std::sync::Arc;
+
 use crate::{EGraph, Id, Language, RecExpr};
 
 /// Result of merging two analysis values, reporting which side changed.
@@ -61,16 +63,19 @@ pub trait Analysis<L: Language>: Sized + Send + Sync {
     }
 
     /// A small representative term of class `id`, if the analysis tracks
-    /// one.
-    fn representative(egraph: &EGraph<L, Self>, id: Id) -> Option<RecExpr<L>> {
+    /// one. Shared (`Arc`): callers read it and must not expect a private
+    /// copy.
+    fn representative(egraph: &EGraph<L, Self>, id: Id) -> Option<Arc<RecExpr<L>>> {
         let _ = (egraph, id);
         None
     }
 
     /// A term equal to class `id` with all free binder indices reduced by
     /// `k`, if one exists. `downshift(_, id, 0)` should behave like
-    /// [`representative`](Analysis::representative).
-    fn downshift(egraph: &EGraph<L, Self>, id: Id, k: u32) -> Option<RecExpr<L>> {
+    /// [`representative`](Analysis::representative). Shared (`Arc`): an
+    /// analysis may hand out a term it keeps, e.g. the representative of a
+    /// class with no free indices, which every shift leaves unchanged.
+    fn downshift(egraph: &EGraph<L, Self>, id: Id, k: u32) -> Option<Arc<RecExpr<L>>> {
         let _ = (egraph, id, k);
         None
     }

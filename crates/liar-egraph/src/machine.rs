@@ -312,7 +312,7 @@ impl<L: Language> Program<L> {
                 let Some(down) = A::downshift(egraph, regs[*src], *k) else {
                     return;
                 };
-                exprs[*out] = Some(Arc::new(down));
+                exprs[*out] = Some(down);
                 self.exec(egraph, regs, exprs, pc + 1, found);
             }
             Instr::DownshiftCompare { src, k, expr } => {
@@ -320,7 +320,7 @@ impl<L: Language> Program<L> {
                     return;
                 };
                 let e = exprs[*expr].as_ref().expect("slot written");
-                let matched = **e == down || {
+                let matched = *e == down || {
                     // Equal classes may yield different representatives;
                     // fall back to a semantic check through the e-graph
                     // (identical to the oracle matcher).

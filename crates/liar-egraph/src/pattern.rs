@@ -329,7 +329,7 @@ impl<L: Language> Pattern<L> {
                 };
                 match subst.get(v) {
                     Some(Binding::Expr(e)) => {
-                        if **e == down {
+                        if *e == down {
                             out.push(subst);
                         } else {
                             // Equal classes may yield different
@@ -348,7 +348,7 @@ impl<L: Language> Pattern<L> {
                     }
                     None => {
                         let mut s = subst;
-                        s.insert(*v, Binding::Expr(Arc::new(down)));
+                        s.insert(*v, Binding::Expr(down));
                         out.push(s);
                     }
                 }
@@ -401,8 +401,8 @@ impl<L: Language> Pattern<L> {
                 None => panic!("unbound pattern variable {v}"),
             },
             PatternNode::Shifted(v, k) => {
-                let expr: RecExpr<L> = match subst.get(v) {
-                    Some(Binding::Expr(e)) => (**e).clone(),
+                let expr = match subst.get(v) {
+                    Some(Binding::Expr(e)) => Arc::clone(e),
                     Some(Binding::Class(id)) => A::representative(egraph, *id)
                         .unwrap_or_else(|| panic!("analysis provides no representative for {v}")),
                     None => panic!("unbound pattern variable {v}"),

@@ -7,12 +7,15 @@
 //!   downshifts early);
 //! * a smallest known **representative** term, used by the
 //!   extraction-based substitution/shift appliers (paper §IV.B.3, second
-//!   approach) and by shift-pattern instantiation;
+//!   approach) and by shift-pattern instantiation. It is shared with the
+//!   children's representatives (see [`Repr`]), so analysing an e-node
+//!   costs O(arity), not O(term);
 //! * the **extent** when the class is a `#n` leaf (read by cost models);
 //! * the **constant** when the class contains a float literal.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use liar_egraph::{
     Analysis, DidMerge, EGraph, Id, Language, SnapshotAnalysis, SnapshotError, SnapshotReader,
@@ -22,14 +25,131 @@ use liar_egraph::{
 use crate::debruijn::{self, VarSet};
 use crate::{ArrayLang, Expr, Num};
 
+/// A class's representative term, structurally shared: the chosen e-node
+/// plus its children's representatives, flattened into an [`Expr`] at most
+/// once, on first use ([`Repr::expr`]).
+///
+/// Building one from an e-node costs O(arity) however large the term is,
+/// and cloning one bumps a reference count. The flattened term is the
+/// post-order tree of the e-node over its children's flattened terms;
+/// [`len`](Repr::len), equality and the `Display` text agree with it
+/// without flattening.
+#[derive(Clone)]
+pub struct Repr(Arc<ReprNode>);
+
+struct ReprNode {
+    /// Length of the term (its AST size).
+    len: usize,
+    term: Term,
+    /// The flattened term of a [`Term::Node`], filled on first use.
+    flat: OnceLock<Arc<Expr>>,
+}
+
+enum Term {
+    /// The chosen e-node and its children's representatives, in child
+    /// order (the node's own child ids are ignored).
+    Node(ArrayLang, Box<[Repr]>),
+    /// A term restored from a snapshot, kept as it was parsed.
+    Flat(Arc<Expr>),
+}
+
+impl Repr {
+    fn node(enode: &ArrayLang, mut child: impl FnMut(Id) -> Repr) -> Self {
+        let children: Box<[Repr]> = enode.children().iter().map(|&c| child(c)).collect();
+        let len = 1 + children.iter().map(Repr::len).sum::<usize>();
+        Repr::with(len, Term::Node(enode.clone(), children))
+    }
+
+    fn from_expr(expr: Expr) -> Self {
+        Repr::with(expr.len(), Term::Flat(Arc::new(expr)))
+    }
+
+    fn with(len: usize, term: Term) -> Self {
+        Repr(Arc::new(ReprNode {
+            len,
+            term,
+            flat: OnceLock::new(),
+        }))
+    }
+
+    /// Length of the term (its AST size), known without flattening.
+    #[allow(clippy::len_without_is_empty)] // A term has at least its root.
+    pub fn len(&self) -> usize {
+        self.0.len
+    }
+
+    /// The term as a flat [`Expr`], built on the first call and shared by
+    /// every later one.
+    pub fn expr(&self) -> &Arc<Expr> {
+        match &self.0.term {
+            Term::Flat(expr) => expr,
+            Term::Node(..) => self.0.flat.get_or_init(|| {
+                let mut expr = Expr::default();
+                self.append_to(&mut expr);
+                Arc::new(expr)
+            }),
+        }
+    }
+
+    fn append_to(&self, out: &mut Expr) -> Id {
+        match &self.0.term {
+            Term::Flat(expr) => out.append_subtree(expr, expr.root()),
+            Term::Node(node, children) => {
+                let mut children = children.iter();
+                let node = node
+                    .clone()
+                    .map_children(|_| children.next().expect("one repr per child").append_to(out));
+                out.add(node)
+            }
+        }
+    }
+}
+
+/// Structural equality, without flattening unless one side was restored:
+/// length, then pointer, then operator and children.
+impl PartialEq for Repr {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (Arc::ptr_eq(&self.0, &other.0)
+                || match (&self.0.term, &other.0.term) {
+                    (Term::Node(a, ac), Term::Node(b, bc)) => a.matches(b) && ac == bc,
+                    _ => self.expr() == other.expr(),
+                })
+    }
+}
+
+/// The term's s-expression, identical to its flattened [`Expr`]'s.
+impl fmt::Display for Repr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0.term {
+            Term::Flat(expr) => expr.fmt(f),
+            Term::Node(node, children) if children.is_empty() => f.write_str(&node.display_op()),
+            Term::Node(node, children) => {
+                write!(f, "({}", node.display_op())?;
+                for child in children.iter() {
+                    write!(f, " {child}")?;
+                }
+                f.write_str(")")
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Repr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Repr({self})")
+    }
+}
+
 /// Analysis fact attached to every e-class (see module docs).
 #[derive(Debug, Clone)]
 pub struct ClassData {
     /// Optimistic free-variable set (intersection over members).
     pub free: VarSet,
-    /// Smallest known representative term (`Arc`: facts are shared
-    /// read-only across the parallel search phase's threads).
-    pub repr: Arc<Expr>,
+    /// Smallest known representative term. Shared with the representatives
+    /// of the classes it is built from, and read-only across the parallel
+    /// search phase's threads.
+    pub repr: Repr,
     /// Exact free-variable set of `repr` (the fast path for downshifts).
     pub repr_free: VarSet,
     /// The extent when this class is a `Dim` leaf.
@@ -89,18 +209,11 @@ pub fn node_extent(
 /// share hits across threads.
 #[derive(Debug, Default)]
 pub struct ArrayAnalysis {
-    downshift_cache: Mutex<HashMap<(Id, u32), Option<Expr>>>,
+    downshift_cache: Mutex<HashMap<(Id, u32), Downshifted>>,
 }
 
-fn make_repr(egraph: &EGraph<ArrayLang, ArrayAnalysis>, enode: &ArrayLang) -> Expr {
-    let mut repr = Expr::default();
-    let node = enode.clone().map_children(|c| {
-        let child = &egraph.data(c).repr;
-        repr.append_subtree(child, child.root())
-    });
-    repr.add(node);
-    repr
-}
+/// A cached downshift: the shared term, or `None` when no member permits it.
+type Downshifted = Option<Arc<Expr>>;
 
 impl Analysis<ArrayLang> for ArrayAnalysis {
     type Data = ClassData;
@@ -109,7 +222,7 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         let free = debruijn::node_free_vars(enode, &mut |c| egraph.data(c).free);
         let repr_free =
             debruijn::node_free_vars(enode, &mut |c| egraph.data(c).repr_free);
-        let repr = Arc::new(make_repr(egraph, enode));
+        let repr = Repr::node(enode, |c| egraph.data(c).repr.clone());
         let extent = node_extent(enode, &mut |c| egraph.data(c).dim);
         ClassData {
             free,
@@ -175,8 +288,8 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         did
     }
 
-    fn representative(egraph: &EGraph<ArrayLang, Self>, id: Id) -> Option<Expr> {
-        Some((*egraph.data(id).repr).clone())
+    fn representative(egraph: &EGraph<ArrayLang, Self>, id: Id) -> Option<Arc<Expr>> {
+        Some(Arc::clone(egraph.data(id).repr.expr()))
     }
 
     fn modify(egraph: &mut EGraph<ArrayLang, Self>, _id: Id) {
@@ -185,18 +298,20 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         egraph.analysis.downshift_cache.lock().unwrap().clear();
     }
 
-    fn downshift(egraph: &EGraph<ArrayLang, Self>, id: Id, k: u32) -> Option<Expr> {
-        if k == 0 {
-            return Self::representative(egraph, id);
-        }
+    fn downshift(egraph: &EGraph<ArrayLang, Self>, id: Id, k: u32) -> Option<Arc<Expr>> {
         let id = egraph.find(id);
         let data = egraph.data(id);
+        // A shift by 0, or of a closed representative, changes nothing:
+        // share the term itself.
+        if k == 0 || data.repr_free.is_empty() {
+            return Some(Arc::clone(data.repr.expr()));
+        }
         // Fast path: the stored representative already avoids the low
         // indices (the overwhelmingly common case).
         if data.repr_free.none_below(k) {
-            let down = debruijn::try_shift_down(&data.repr, k);
+            let down = debruijn::try_shift_down(data.repr.expr(), k);
             debug_assert!(down.is_some(), "repr_free out of sync with repr");
-            return down;
+            return down.map(Arc::new);
         }
         if let Some(cached) = egraph.analysis.downshift_cache.lock().unwrap().get(&(id, k)) {
             return cached.clone();
@@ -206,7 +321,7 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         let down = finder.find(id, mask).map(|found| {
             let down = debruijn::try_shift_down(&found, k);
             debug_assert!(down.is_some(), "finder returned non-shiftable term");
-            down.expect("checked")
+            Arc::new(down.expect("checked"))
         });
         egraph
             .analysis
@@ -262,7 +377,7 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
         let has_var = r.read_bool()?;
         Ok(ClassData {
             free,
-            repr: Arc::new(repr),
+            repr: Repr::from_expr(repr),
             repr_free,
             dim,
             extent,
@@ -293,14 +408,10 @@ impl<'a> ShiftableFinder<'a> {
         }
     }
 
-    fn find(&mut self, class: Id, mask: u64) -> Option<Expr> {
-        self.find_rc(class, mask).map(|e| (*e).clone())
-    }
-
-    fn find_rc(&mut self, class: Id, mask: u64) -> Option<Arc<Expr>> {
+    fn find(&mut self, class: Id, mask: u64) -> Option<Arc<Expr>> {
         let class = self.egraph.find(class);
         if mask == 0 {
-            return Some(Arc::clone(&self.egraph.data(class).repr));
+            return Some(Arc::clone(self.egraph.data(class).repr.expr()));
         }
         // Sound early reject: a bit in the optimistic (intersection) set is
         // free in every member.
@@ -342,7 +453,7 @@ impl<'a> ShiftableFinder<'a> {
             ArrayLang::Lam(body) => {
                 // Under a binder, forbidden index i becomes i+1; the new
                 // index 0 is always allowed.
-                let inner = self.find_rc(*body, mask << 1)?;
+                let inner = self.find(*body, mask << 1)?;
                 let mut e = Expr::default();
                 let root = e.append_subtree(&inner, inner.root());
                 e.add(ArrayLang::Lam(root));
@@ -351,7 +462,7 @@ impl<'a> ShiftableFinder<'a> {
             _ => {
                 let mut children = Vec::with_capacity(node.children().len());
                 for c in node.children() {
-                    children.push(self.find_rc(*c, mask)?);
+                    children.push(self.find(*c, mask)?);
                 }
                 let mut e = Expr::default();
                 let mut i = 0;
@@ -383,7 +494,31 @@ mod tests {
         let small = eg.add_expr(&e("x"));
         eg.union(big, small);
         eg.rebuild();
-        assert_eq!(*eg.data(big).repr, e("x"));
+        assert_eq!(**eg.data(big).repr.expr(), e("x"));
+    }
+
+    #[test]
+    fn parent_repr_shares_child_repr() {
+        let mut eg = ArrayEGraph::default();
+        let child = eg.add_expr(&e("(get xs %0)"));
+        let parent = eg.add_expr(&e("(lam (+ (get xs %0) 1))"));
+        let sum = eg.lookup_expr(&e("(+ (get xs %0) 1)")).unwrap();
+        let Term::Node(_, children) = &eg.data(sum).repr.0.term else {
+            panic!("made representatives are nodes")
+        };
+        assert!(Arc::ptr_eq(&children[0].0, &eg.data(child).repr.0));
+        // Adding built no flat term; flattening the parent builds only its
+        // own, with the length and text of the copied term.
+        assert!(eg.classes().all(|c| c.data.repr.0.flat.get().is_none()));
+        let repr = &eg.data(parent).repr;
+        assert_eq!(**repr.expr(), e("(lam (+ (get xs %0) 1))"));
+        assert_eq!(repr.len(), repr.expr().len());
+        assert_eq!(repr.to_string(), repr.expr().to_string());
+        assert!(eg.data(child).repr.0.flat.get().is_none());
+        // Structural equality agrees with the flat term's, restored or not.
+        assert_eq!(*repr, Repr::from_expr(e("(lam (+ (get xs %0) 1))")));
+        assert_ne!(*repr, Repr::from_expr(e("(lam (+ (get xs %0) 2))")));
+        assert_ne!(eg.data(sum).repr, eg.data(child).repr);
     }
 
     #[test]
@@ -406,14 +541,26 @@ mod tests {
     }
 
     #[test]
-    fn downshift_closed_class() {
+    fn downshift_open_class() {
         let mut eg = ArrayEGraph::default();
         let id = eg.add_expr(&e("(get xs %2)"));
-        // All free indices are ≥ 2: downshift by 2 is possible.
+        // All free indices are ≥ 2: downshift by 2 is possible, and gives
+        // a shifted copy.
         let down = ArrayAnalysis::downshift(&eg, id, 2).unwrap();
-        assert_eq!(down, e("(get xs %0)"));
+        assert_eq!(*down, e("(get xs %0)"));
+        assert!(!Arc::ptr_eq(&down, eg.data(id).repr.expr()));
         // …but downshift by 3 is not.
         assert_eq!(ArrayAnalysis::downshift(&eg, id, 3), None);
+    }
+
+    #[test]
+    fn downshift_closed_class_shares_its_repr() {
+        let mut eg = ArrayEGraph::default();
+        let id = eg.add_expr(&e("(build #4 (lam (get xs %0)))"));
+        for k in 0..4 {
+            let down = ArrayAnalysis::downshift(&eg, id, k).unwrap();
+            assert!(Arc::ptr_eq(&down, eg.data(id).repr.expr()), "k = {k}");
+        }
     }
 
     #[test]
@@ -427,7 +574,7 @@ mod tests {
         // %0 is free in one member but not the other: downshift by 1 finds
         // `zs`.
         let down = ArrayAnalysis::downshift(&eg, a, 1).unwrap();
-        assert_eq!(down, e("zs"));
+        assert_eq!(*down, e("zs"));
     }
 
     #[test]
@@ -436,7 +583,7 @@ mod tests {
         // λ body where body uses %0 (bound) and %3 (free index 2).
         let id = eg.add_expr(&e("(lam (get %3 %0))"));
         let down = ArrayAnalysis::downshift(&eg, id, 2).unwrap();
-        assert_eq!(down, e("(lam (get %1 %0))"));
+        assert_eq!(*down, e("(lam (get %1 %0))"));
         assert_eq!(ArrayAnalysis::downshift(&eg, id, 3), None);
     }
 
@@ -451,7 +598,7 @@ mod tests {
         eg.union(x, zs);
         eg.rebuild();
         let down = ArrayAnalysis::downshift(&eg, fx, 1).unwrap();
-        assert_eq!(down, e("(fst zs)"));
+        assert_eq!(*down, e("(fst zs)"));
     }
 
     #[test]
@@ -466,7 +613,7 @@ mod tests {
         let restored = ArrayEGraph::restore(ArrayAnalysis::default(), &bytes).unwrap();
         let (a, b) = (eg.find(big), restored.find(big));
         assert_eq!(a, b);
-        assert_eq!(*restored.data(b).repr, e("x"));
+        assert_eq!(**restored.data(b).repr.expr(), e("x"));
         assert_eq!(restored.data(b).free, eg.data(a).free);
         assert_eq!(restored.data(dims).extent, Some(4));
         // Byte-determinism: re-snapshotting the restored graph is exact.
@@ -477,6 +624,8 @@ mod tests {
     fn representative_hook() {
         let mut eg = ArrayEGraph::default();
         let id = eg.add_expr(&e("(+ a b)"));
-        assert_eq!(ArrayAnalysis::representative(&eg, id), Some(e("(+ a b)")));
+        let repr = ArrayAnalysis::representative(&eg, id).unwrap();
+        assert_eq!(*repr, e("(+ a b)"));
+        assert!(Arc::ptr_eq(&repr, eg.data(id).repr.expr()));
     }
 }

@@ -53,7 +53,7 @@ pub mod dsl;
 pub mod fingerprint;
 mod lang;
 
-pub use analysis::{ArrayAnalysis, ClassData};
+pub use analysis::{ArrayAnalysis, ClassData, Repr};
 pub use debruijn::VarSet;
 pub use fingerprint::{ContentAddressed, ContentHash, StableHasher};
 pub use lang::{ArrayLang, LibFn, Num};
