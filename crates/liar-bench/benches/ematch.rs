@@ -1,19 +1,16 @@
-//! E-matching microbenchmark: three search engines on the PolyBench
+//! E-matching microbenchmark: two search engines on the PolyBench
 //! kernels —
 //!
-//! * the **semi-naive** engine (compiled VM + operator index + delta
-//!   frontier, the shipped default),
-//! * the **whole-graph VM** (compiled VM + operator index, frontier off),
+//! * the **VM** (compiled VM + operator index, the shipped engine),
 //! * the pre-refactor **oracle** matcher (`Rewrite::with_oracle_searcher`,
 //!   a faithful stand-in for the pre-VM engine).
 //!
-//! For each kernel the same saturation run is driven with all three.
+//! For each kernel the same saturation run is driven with both.
 //! Reported per kernel:
 //!
 //! * **search-phase time** (median of several runs) for each engine;
 //! * **candidate classes visited** by each (the operator index must make
-//!   the VM strictly cheaper than the oracle; the delta frontier must
-//!   scan strictly fewer classes still — `frontier_candidates`);
+//!   the VM strictly cheaper than the oracle);
 //! * **matches found** (must be identical — the engines are equivalent).
 //!
 //! Results are printed and written to `BENCH_ematch.json` at the repo
@@ -37,26 +34,23 @@ const SAMPLES: usize = 3;
 struct RunStats {
     search: Duration,
     candidates: usize,
-    frontier: usize,
     matches: usize,
     solution: String,
     cost: f64,
 }
 
 /// One saturation run under the given engine configuration.
-fn run(rules: &[ARewrite], expr: &Expr, kernel: Kernel, target: Target, seminaive: bool) -> RunStats {
+fn run(rules: &[ARewrite], expr: &Expr, kernel: Kernel, target: Target) -> RunStats {
     let mut eg = ArrayEGraph::default();
     let root = eg.add_expr(expr);
     let mut runner = Runner::new(eg)
         .with_root(root)
         .with_iter_limit(harness::step_limit(kernel))
         .with_node_limit(150_000)
-        .with_seminaive(seminaive)
         .with_scheduler(BackoffScheduler::new(30_000, 2));
     runner.run(rules);
     let search: Duration = runner.iterations.iter().map(|i| i.search_time).sum();
     let candidates: usize = runner.iterations.iter().map(|i| i.search_candidates).sum();
-    let frontier: usize = runner.iterations.iter().map(|i| i.frontier_candidates).sum();
     let matches: usize = runner.iterations.iter().map(|i| i.search_matches).sum();
     let extractor = Extractor::new(&runner.egraph, TargetCost::new(target));
     let (cost, best) = extractor.find_best(root);
@@ -65,20 +59,20 @@ fn run(rules: &[ARewrite], expr: &Expr, kernel: Kernel, target: Target, seminaiv
         .map(|(name, count)| format!("{count} × {name}"))
         .collect::<Vec<_>>()
         .join(" + ");
-    RunStats { search, candidates, frontier, matches, solution, cost }
+    RunStats {
+        search,
+        candidates,
+        matches,
+        solution,
+        cost,
+    }
 }
 
 /// Median search-phase time over `SAMPLES` runs (plus one warm-up).
-fn median_search(
-    rules: &[ARewrite],
-    expr: &Expr,
-    kernel: Kernel,
-    target: Target,
-    seminaive: bool,
-) -> Duration {
-    let _ = run(rules, expr, kernel, target, seminaive); // warm-up
+fn median_search(rules: &[ARewrite], expr: &Expr, kernel: Kernel, target: Target) -> Duration {
+    let _ = run(rules, expr, kernel, target); // warm-up
     let mut times: Vec<Duration> = (0..SAMPLES)
-        .map(|_| run(rules, expr, kernel, target, seminaive).search)
+        .map(|_| run(rules, expr, kernel, target).search)
         .collect();
     times.sort();
     times[times.len() / 2]
@@ -86,12 +80,9 @@ fn median_search(
 
 struct Row {
     kernel: &'static str,
-    seminaive_search_s: f64,
     vm_search_s: f64,
     oracle_search_s: f64,
-    seminaive_speedup: f64,
     speedup: f64,
-    frontier_candidates: usize,
     vm_candidates: usize,
     oracle_candidates: usize,
     matches: usize,
@@ -99,7 +90,7 @@ struct Row {
 }
 
 fn main() {
-    println!("== ematch (semi-naive frontier vs. whole-graph VM vs. oracle matcher, BLAS rules) ==");
+    println!("== ematch (VM vs. oracle matcher, BLAS rules) ==");
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("host hardware threads: {hw} (all engines run serially here)");
 
@@ -112,12 +103,8 @@ fn main() {
         let expr = kernel.expr(kernel.search_size());
 
         // Equivalence first: identical matches, solutions and costs.
-        let semi = run(&rules, &expr, kernel, target, true);
-        let vm = run(&rules, &expr, kernel, target, false);
-        let oracle = run(&oracle_rules, &expr, kernel, target, false);
-        assert_eq!(semi.matches, vm.matches, "{kernel}: semi-naive match count diverged");
-        assert_eq!(semi.solution, vm.solution, "{kernel}: semi-naive solution diverged");
-        assert_eq!(semi.cost, vm.cost, "{kernel}: semi-naive cost diverged");
+        let vm = run(&rules, &expr, kernel, target);
+        let oracle = run(&oracle_rules, &expr, kernel, target);
         assert_eq!(vm.matches, oracle.matches, "{kernel}: match counts diverged");
         assert_eq!(vm.solution, oracle.solution, "{kernel}: solutions diverged");
         assert_eq!(vm.cost, oracle.cost, "{kernel}: costs diverged");
@@ -128,48 +115,30 @@ fn main() {
             vm.candidates,
             oracle.candidates,
         );
-        assert!(
-            semi.frontier < vm.candidates,
-            "{kernel}: frontier scanned {} classes, whole-graph {} — \
-             the delta frontier must strictly reduce scans",
-            semi.frontier,
-            vm.candidates,
-        );
-        assert_eq!(
-            vm.frontier, vm.candidates,
-            "{kernel}: with semi-naive off, frontier must equal candidates"
-        );
 
-        let semi_time = median_search(&rules, &expr, kernel, target, true);
-        let vm_time = median_search(&rules, &expr, kernel, target, false);
-        let oracle_time = median_search(&oracle_rules, &expr, kernel, target, false);
-        let seminaive_speedup = vm_time.as_secs_f64() / semi_time.as_secs_f64().max(1e-9);
+        let vm_time = median_search(&rules, &expr, kernel, target);
+        let oracle_time = median_search(&oracle_rules, &expr, kernel, target);
         let speedup = oracle_time.as_secs_f64() / vm_time.as_secs_f64().max(1e-9);
         println!(
-            "{:<40} semi {:>10.3?}   vm {:>10.3?}   oracle {:>10.3?}   semi/vm {:>5.2}x   \
-             scans {} vs {} vs {}   matches {}",
+            "{:<40} vm {:>10.3?}   oracle {:>10.3?}   speedup {:>5.2}x   \
+             candidates {} vs {}   matches {}",
             format!("ematch/{}", kernel.name()),
-            semi_time,
             vm_time,
             oracle_time,
-            seminaive_speedup,
-            semi.frontier,
+            speedup,
             vm.candidates,
             oracle.candidates,
-            semi.matches,
+            vm.matches,
         );
         rows.push(Row {
             kernel: kernel.name(),
-            seminaive_search_s: semi_time.as_secs_f64(),
             vm_search_s: vm_time.as_secs_f64(),
             oracle_search_s: oracle_time.as_secs_f64(),
-            seminaive_speedup,
             speedup,
-            frontier_candidates: semi.frontier,
             vm_candidates: vm.candidates,
             oracle_candidates: oracle.candidates,
-            matches: semi.matches,
-            solution: semi.solution,
+            matches: vm.matches,
+            solution: vm.solution,
         });
     }
 
@@ -177,17 +146,13 @@ fn main() {
     let mut json = String::from("{\n  \"bench\": \"ematch\",\n  \"target\": \"blas\",\n  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"seminaive_search_s\": {:.6}, \"vm_search_s\": {:.6}, \
-             \"oracle_search_s\": {:.6}, \"seminaive_speedup\": {:.3}, \"speedup\": {:.3}, \
-             \"frontier_candidates\": {}, \"vm_candidates\": {}, \"oracle_candidates\": {}, \
+            "    {{\"kernel\": \"{}\", \"vm_search_s\": {:.6}, \"oracle_search_s\": {:.6}, \
+             \"speedup\": {:.3}, \"vm_candidates\": {}, \"oracle_candidates\": {}, \
              \"matches\": {}, \"solution\": \"{}\"}}{}\n",
             r.kernel,
-            r.seminaive_search_s,
             r.vm_search_s,
             r.oracle_search_s,
-            r.seminaive_speedup,
             r.speedup,
-            r.frontier_candidates,
             r.vm_candidates,
             r.oracle_candidates,
             r.matches,
@@ -202,15 +167,12 @@ fn main() {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 
-    let total_semi: f64 = rows.iter().map(|r| r.seminaive_search_s).sum();
     let total_vm: f64 = rows.iter().map(|r| r.vm_search_s).sum();
     let total_oracle: f64 = rows.iter().map(|r| r.oracle_search_s).sum();
     println!(
-        "total search: semi {:.3}s vs vm {:.3}s vs oracle {:.3}s (semi/vm {:.2}x, vm/oracle {:.2}x)",
-        total_semi,
+        "total search: vm {:.3}s vs oracle {:.3}s ({:.2}x)",
         total_vm,
         total_oracle,
-        total_vm / total_semi.max(1e-9),
         total_oracle / total_vm.max(1e-9),
     );
 }

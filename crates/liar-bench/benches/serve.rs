@@ -17,12 +17,7 @@
 //!   in-memory cache — a simulated restart) answers each kernel by
 //!   restore + extraction: `cold_boot_ms` (saturate from scratch) vs
 //!   `warm_boot_ms` (`"cache":"warm"`, zero saturation steps, identical
-//!   solutions), plus `warm_start_saturation_ms` — resuming saturation
-//!   in-process from the stored snapshot with the restored classes
-//!   pre-sealed ([`liar_core::Liar::optimize_multi_warm`]), budgeted at
-//!   one re-search step: the marginal cost of *continuing* from the
-//!   stored graph (restore + frontier confirmation + extraction) rather
-//!   than replaying it.
+//!   solutions).
 //!
 //! Results are printed and written to `BENCH_serve.json` at the repo
 //! root; CI runs this bench and uploads the JSON as an artifact.
@@ -30,7 +25,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use liar_core::{Liar, MachineProfile, SnapshotStore, Target};
 use liar_kernels::Kernel;
 use liar_serve::{Client, OptimizeRequest, Server, ServerConfig};
 
@@ -58,7 +52,6 @@ struct Row {
     warm_p95_ms: f64,
     speedup: f64,
     warm_boot_ms: f64,
-    warm_start_ms: f64,
 }
 
 fn main() {
@@ -167,32 +160,6 @@ fn main() {
     }
     restarted.shutdown();
 
-    // Warm-start saturation: resume in-process from the stored snapshot
-    // (restored classes pre-sealed, only new work hits the frontier)
-    // instead of extraction-only replay. The fingerprint pipeline
-    // mirrors the server's job configuration so the store lookup hits;
-    // the resume itself is budgeted at one re-search step so the column
-    // measures the marginal cost of continuing from the stored graph,
-    // not the cost of growing it a further `STEPS` iterations.
-    let store = Arc::new(SnapshotStore::open(&warm_dir).expect("open store"));
-    let targets: Vec<Target> = Target::ALL.to_vec();
-    let mut warm_start = Vec::new();
-    for (name, program) in programs.iter() {
-        let pipeline = Liar::new(targets[0])
-            .with_iter_limit(STEPS)
-            .with_node_limit(ServerConfig::default().default_node_limit)
-            .with_profiles(vec![MachineProfile::default()]);
-        let expr = program.parse().expect("parse kernel");
-        let fp = pipeline.request_fingerprint(&expr, &targets, &[1.0]);
-        let (_, bytes) = store.load(fp).unwrap_or_else(|| panic!("{name}: snapshot not stored"));
-        let resume = pipeline.clone().with_iter_limit(1);
-        let start = Instant::now();
-        resume
-            .optimize_multi_warm(&bytes, &expr, &targets, &[1.0])
-            .expect("warm resume");
-        warm_start.push(start.elapsed());
-    }
-
     let mut rows = Vec::new();
     for (i, (name, cold_time, _)) in cold.iter().enumerate() {
         let mut sorted = warm[i].clone();
@@ -201,8 +168,8 @@ fn main() {
         let p95 = percentile(&sorted, 0.95);
         let speedup = cold_time.as_secs_f64() / p50.as_secs_f64().max(1e-9);
         println!(
-            "serve/{:<12} cold {:>10.3?}   warm p50 {:>10.3?}   p95 {:>10.3?}   hit speedup {:>7.1}x   warm boot {:>10.3?}   warm resume {:>10.3?}",
-            name, cold_time, p50, p95, speedup, warm_boot[i], warm_start[i]
+            "serve/{:<12} cold {:>10.3?}   warm p50 {:>10.3?}   p95 {:>10.3?}   hit speedup {:>7.1}x   warm boot {:>10.3?}",
+            name, cold_time, p50, p95, speedup, warm_boot[i]
         );
         rows.push(Row {
             kernel: name,
@@ -211,7 +178,6 @@ fn main() {
             warm_p95_ms: p95.as_secs_f64() * 1e3,
             speedup,
             warm_boot_ms: warm_boot[i].as_secs_f64() * 1e3,
-            warm_start_ms: warm_start[i].as_secs_f64() * 1e3,
         });
     }
 
@@ -250,8 +216,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"cold_ms\": {:.3}, \"warm_p50_ms\": {:.3}, \
              \"warm_p95_ms\": {:.3}, \"cache_hit_speedup\": {:.3}, \"cold_boot_ms\": {:.3}, \
-             \"warm_boot_ms\": {:.3}, \"warm_boot_speedup\": {:.3}, \
-             \"warm_start_saturation_ms\": {:.3}}}{}\n",
+             \"warm_boot_ms\": {:.3}, \"warm_boot_speedup\": {:.3}}}{}\n",
             r.kernel,
             r.cold_ms,
             r.warm_p50_ms,
@@ -260,7 +225,6 @@ fn main() {
             r.cold_ms, // cold boot *is* the first saturation on an empty store
             r.warm_boot_ms,
             r.cold_ms / r.warm_boot_ms.max(1e-9),
-            r.warm_start_ms,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }

@@ -17,11 +17,7 @@
 //! Deliberately **excluded**: the worker thread count — parallel search
 //! is bit-identical to serial by construction (see
 //! [`liar_egraph::Runner::with_threads`]), so requests that differ only
-//! in `threads` may share a cache entry. The semi-naive search knob
-//! ([`crate::Liar::with_seminaive`]) is excluded for the same reason:
-//! delta-frontier search emits the exact match stream the whole-graph
-//! engine does, so only wall-clock timings and the `frontier_candidates`
-//! work statistic can differ between a stored report and a recomputation.
+//! in `threads` may share a cache entry.
 //!
 //! A request whose budgets include a wall-clock limit is still
 //! fingerprinted (the limit is part of the key), but note that such runs

@@ -44,7 +44,7 @@ pub use fingerprint::{BudgetKnobs, Fingerprint};
 pub use inspect::{InspectReport, OpRow, RuleRow};
 pub use pipeline::{
     CacheStatus, Liar, MultiReport, MultiSolution, OptimizationReport, OptimizeError,
-    SaturationStep, StepReport, WarmError,
+    SaturationStep, StepReport,
 };
 pub use store::SnapshotStore;
 pub use profile::MachineProfile;

@@ -25,21 +25,20 @@ use super::{CandidateSet, RuleConfig};
 type AEGraph = EGraph<ArrayLang, ArrayAnalysis>;
 
 /// One-slot memo for an intro searcher's auxiliary candidate list, keyed
-/// on the e-graph snapshot. On a clean e-graph every change either bumps
-/// the delta version (sealed by `rebuild`) or the class count (adds), so
-/// `(version, classes)` identifies the snapshot and per-class search
-/// reuses one O(classes) computation instead of paying it per class.
+/// on the e-graph's state: `(rebuilds, classes)` identifies a clean
+/// e-graph (see [`EGraph::rebuilds`]), so per-class search reuses one
+/// O(classes) computation instead of paying it per class.
 #[derive(Default)]
 pub(super) struct AuxMemo {
     slot: Mutex<MemoSlot>,
 }
 
-/// `(delta version, class count, candidate list)` — one [`AuxMemo`] entry.
+/// `(rebuild count, class count, candidate list)` — one [`AuxMemo`] entry.
 type MemoSlot = Option<(u64, usize, Arc<Vec<Id>>)>;
 
 impl AuxMemo {
     pub(super) fn get(&self, egraph: &AEGraph, compute: impl FnOnce() -> Vec<Id>) -> Arc<Vec<Id>> {
-        let key = (egraph.delta_version(), egraph.num_classes());
+        let key = (egraph.rebuilds(), egraph.num_classes());
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((v, c, list)) = &*slot {
             if (*v, *c) == key {
@@ -50,20 +49,6 @@ impl AuxMemo {
         *slot = Some((key.0, key.1, Arc::clone(&list)));
         list
     }
-}
-
-/// FNV-1a over an id list: the intro searchers' semi-naive
-/// [`delta_fingerprint`](Searcher::delta_fingerprint). Their per-class
-/// match lists pair the class with this auxiliary list, so any change to
-/// it changes every class's matches and must flush the frontier cache.
-fn fingerprint_ids(ids: &[Id]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &id in ids {
-        for byte in (id.index() as u64).to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Whole-graph search expressed exactly as the [`Searcher`] per-class
@@ -233,27 +218,6 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
         )
     }
 
-    fn delta_depth(&self) -> Option<u32> {
-        // A class's matches depend on its own nodes and analysis data
-        // (the candidate check) plus the global `ys` list, covered by
-        // the fingerprint. Exhaustive mode pairs every class with every
-        // class — stay whole-graph there.
-        (self.config.intro_lambda != CandidateSet::All).then_some(1)
-    }
-
-    fn delta_fingerprint(&self, egraph: &AEGraph) -> u64 {
-        fingerprint_ids(&self.ys(egraph))
-    }
-
-    fn min_class_yield(&self, egraph: &AEGraph) -> usize {
-        if self.config.intro_lambda == CandidateSet::All {
-            return 0;
-        }
-        // The candidate universe lists exactly the classes passing the
-        // check, and each of those yields one substitution per `y`.
-        self.ys(egraph).len()
-    }
-
     fn bound_vars(&self) -> Vec<Var> {
         vec![Var::new("y")]
     }
@@ -364,22 +328,6 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
         Some(egraph.classes_with_op(key).to_vec())
     }
 
-    fn delta_depth(&self) -> Option<u32> {
-        // A class's matches depend on its own `app` nodes plus the global
-        // extent list, covered by the fingerprint.
-        Some(1)
-    }
-
-    fn delta_fingerprint(&self, egraph: &AEGraph) -> u64 {
-        fingerprint_ids(&self.dims(egraph))
-    }
-
-    fn min_class_yield(&self, egraph: &AEGraph) -> usize {
-        // Every class in the `app` bucket holds at least one `app` node,
-        // each yielding one substitution per known extent.
-        self.dims(egraph).len()
-    }
-
     fn bound_vars(&self) -> Vec<Var> {
         vec![Var::new("f"), Var::new("i"), Var::new("n")]
     }
@@ -481,24 +429,6 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroTupleSearcher {
                 s
             })
             .collect()
-    }
-
-    fn delta_depth(&self) -> Option<u32> {
-        // Per-class substs depend only on the global candidate list, which
-        // the fingerprint covers; exhaustive mode pairs every class with
-        // every class, so it stays on the whole-graph path.
-        (!self.config.exhaustive_tuples).then_some(1)
-    }
-
-    fn delta_fingerprint(&self, egraph: &AEGraph) -> u64 {
-        fingerprint_ids(&self.candidates(egraph))
-    }
-
-    fn min_class_yield(&self, egraph: &AEGraph) -> usize {
-        // Every class yields exactly one substitution per candidate — the
-        // guaranteed floor that lets the semi-naive planner truncate a
-        // whole-universe plan to the prefix a match limit can reach.
-        self.candidates(egraph).len()
     }
 
     fn bound_vars(&self) -> Vec<Var> {

@@ -53,11 +53,6 @@ fn scalar_like(egraph: &AEGraph, id: Id) -> bool {
 ///
 /// The candidate universe is the memoized list of scalar-like classes —
 /// shared across the three intro rules, which gate on the same predicate.
-/// Universe membership can change in both directions (a class gains a
-/// scalar member through a merge, or stops being scalar-like when its
-/// extent is refined), but either change is recorded as delta-index dirt,
-/// so a cached class that leaves the universe is always simultaneously
-/// re-dirtied and its stale entry evicted rather than replayed.
 struct ScalarClassSearcher {
     cands: Arc<AuxMemo>,
 }
@@ -114,19 +109,6 @@ impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
             return None;
         }
         Some(self.candidates(egraph).to_vec())
-    }
-
-    fn delta_depth(&self) -> Option<u32> {
-        // `scalar_like` inspects only the class's own nodes and analysis
-        // data; both kinds of change are recorded as delta-index dirt.
-        Some(1)
-    }
-
-    fn min_class_yield(&self, _egraph: &AEGraph) -> usize {
-        // Every class in the candidate universe is scalar-like on the
-        // snapshot the plan is built against, so each scan yields exactly
-        // one substitution.
-        1
     }
 
     fn bound_vars(&self) -> Vec<Var> {

@@ -6,7 +6,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::attribution::Attribution;
-use crate::delta::DeltaIndex;
 use crate::explain::{Explain, Explanation, Justification};
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
@@ -64,12 +63,9 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     /// e-graph is clean. Compiled patterns use it to visit only the
     /// classes whose members can possibly match their root operator.
     classes_by_op: HashMap<u64, Vec<Id>>,
-    /// The versioned delta index: which classes were created, gained
-    /// nodes, or absorbed a merge since each [`rebuild`](EGraph::rebuild)
-    /// (which seals an epoch). Semi-naive searchers
-    /// ([`seminaive`](crate::seminaive)) restrict their scans to this
-    /// frontier.
-    delta: DeltaIndex,
+    /// Completed [`rebuild`](EGraph::rebuild)s (see
+    /// [`rebuilds`](EGraph::rebuilds)).
+    rebuilds: u64,
     /// Parent nodes whose children were just unioned and need
     /// re-canonicalization.
     pending: Vec<(L, Id)>,
@@ -117,7 +113,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             memo: HashMap::new(),
             classes: HashMap::new(),
             classes_by_op: HashMap::new(),
-            delta: DeltaIndex::default(),
+            rebuilds: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             clean: true,
@@ -221,32 +217,13 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         self.classes_by_op.get(&key).map_or(&[], |ids| ids.as_slice())
     }
 
-    /// The delta index version: incremented by every
-    /// [`rebuild`](EGraph::rebuild), which seals the changes recorded
-    /// since the previous one into an epoch. See [`DeltaIndex::version`].
-    pub fn delta_version(&self) -> u64 {
-        self.delta.version()
-    }
-
-    /// Every e-class that changed (was created, gained e-nodes, absorbed
-    /// a merged class, or had its analysis data refined) at delta epoch
-    /// `>= since`, including the
-    /// not-yet-sealed changes — canonicalized, sorted, deduplicated. See
-    /// [`DeltaIndex::dirty_since`].
-    pub fn dirty_since(&self, since: u64) -> Vec<Id> {
-        self.delta.dirty_since(since, |id| self.unionfind.find(id))
-    }
-
-    /// The underlying [`DeltaIndex`] (read-only; for snapshotting).
-    pub fn delta(&self) -> &DeltaIndex {
-        &self.delta
-    }
-
-    /// Replace the delta index (for snapshot restore). The index must
-    /// describe this e-graph: its recorded ids are interpreted against
-    /// this graph's union-find.
-    pub fn set_delta(&mut self, delta: DeltaIndex) {
-        self.delta = delta;
+    /// How many times [`rebuild`](EGraph::rebuild) has run on this graph
+    /// (a restored graph counts from zero). On a clean e-graph every change
+    /// bumps either this count (unions need a rebuild) or
+    /// [`num_classes`](EGraph::num_classes) (adds), so the pair identifies
+    /// the graph's state: searchers key per-state memos on it.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
     }
 
     /// The hash-cons memo (for snapshot serialization). With explanations
@@ -282,7 +259,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         unionfind: UnionFind,
         memo: HashMap<L, Id>,
         classes: HashMap<Id, EClass<L, A::Data>>,
-        delta: DeltaIndex,
         explain: Option<Explain<L>>,
     ) -> Self {
         let mut classes_by_op: HashMap<u64, Vec<Id>> = HashMap::new();
@@ -302,7 +278,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             memo,
             classes,
             classes_by_op,
-            delta,
+            rebuilds: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             clean: true,
@@ -313,24 +289,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             // restored graph starts un-attributed.
             attribution: None,
         }
-    }
-
-    /// The canonical ids of every class holding a parent e-node of `id`'s
-    /// class (sorted, deduplicated). An over-approximation: parent
-    /// back-pointers are never pruned, so a listed class may no longer
-    /// contain a node with this class as a child — which is exactly the
-    /// sound direction for frontier up-closure in
-    /// [`seminaive`](crate::seminaive) search.
-    pub fn parent_classes(&self, id: Id) -> Vec<Id> {
-        let mut out: Vec<Id> = self
-            .class(id)
-            .parents
-            .iter()
-            .map(|(_, p)| self.find(*p))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Number of e-classes.
@@ -465,7 +423,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         // index bucket sorted ascending.
         self.classes_by_op.entry(node.op_key()).or_default().push(id);
         self.memo.insert(node, id);
-        self.delta.record(id);
         if let Some(attr) = &mut self.attribution {
             attr.record_add();
         }
@@ -524,7 +481,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         );
         self.classes_by_op.entry(cnode.op_key()).or_default().push(id);
         self.memo.insert(cnode, id);
-        self.delta.record(id);
         // The congruent-spelling path above creates no class and no node
         // (only a precise id), so it charges nothing; this fresh path
         // mirrors the unexplained `add`.
@@ -602,10 +558,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             }
         };
         self.unionfind.union_roots(winner, loser);
-        // The winner's contents change (it absorbs the loser's nodes):
-        // that is delta-index dirt. The loser's old id canonicalizes to
-        // the winner, so one record covers both.
-        self.delta.record(winner);
         let loser_class = self.classes.remove(&loser).expect("loser class exists");
 
         // Parents of the loser now refer to a stale id; they must be
@@ -662,10 +614,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
                         n_unions += 1;
                     }
                 }
-                // This parent's node list is being rewritten in place (a
-                // child id changed): the class is dirty for delta-driven
-                // searchers even when no congruence union fires.
-                self.delta.record(class);
                 self.analysis_pending.push((node, class));
             }
             while let Some((node, class)) = self.analysis_pending.pop() {
@@ -675,11 +623,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
                 let cdata = &mut self.classes.get_mut(&class).expect("class exists").data;
                 let did = self.analysis.merge(cdata, data);
                 if did.0 {
-                    // Analysis data is part of the class state delta-driven
-                    // searchers may gate on (e.g. "has a known extent"), so
-                    // a refinement is delta-index dirt even when the node
-                    // list is untouched.
-                    self.delta.record(class);
                     let parents = self.classes[&class].parents.clone();
                     self.analysis_pending.extend(parents);
                     A::modify(self, class);
@@ -687,8 +630,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             }
         }
         self.rebuild_classes();
-        let uf = &self.unionfind;
-        self.delta.seal(|id| uf.find(id));
+        self.rebuilds += 1;
         self.clean = true;
         n_unions
     }
@@ -1075,42 +1017,5 @@ mod tests {
         }
         assert_eq!(bucket.len(), 3, "5 f-classes minus 2 merges");
         eg.assert_invariants();
-    }
-
-    #[test]
-    fn delta_index_tracks_adds_merges_and_congruence() {
-        let mut eg = EG::default();
-        let a = eg.add(leaf("a"));
-        let b = eg.add(leaf("b"));
-        let fa = eg.add(SymbolLang::new("f", vec![a]));
-        let fb = eg.add(SymbolLang::new("f", vec![b]));
-        eg.rebuild();
-        // Before any rebuild-seal boundary is crossed, everything ever
-        // added is dirty relative to version 0.
-        let v1 = eg.delta_version();
-        assert_eq!(eg.dirty_since(0).len(), eg.num_classes());
-        // Nothing changed since the seal: the frontier from v1 is empty.
-        assert!(eg.dirty_since(v1).is_empty());
-
-        // a ∪ b dirties the winner leaf class, and congruence f(a) ≡ f(b)
-        // dirties the merged parent class.
-        eg.union(a, b);
-        eg.rebuild();
-        let dirty = eg.dirty_since(v1);
-        assert!(dirty.contains(&eg.find(a)), "merged leaf class not dirty");
-        assert!(dirty.contains(&eg.find(fa)), "congruence-merged parent not dirty");
-        assert_eq!(eg.find(fa), eg.find(fb));
-        // A class untouched by the merge stays clean... (g c) on fresh ids.
-        let c = eg.add(leaf("c"));
-        let gc = eg.add(SymbolLang::new("g", vec![c]));
-        eg.rebuild();
-        let v2 = eg.delta_version();
-        let dirty = eg.dirty_since(v2);
-        assert!(dirty.is_empty(), "clean graph reported dirt: {dirty:?}");
-        // ...and the adds before the seal are visible from v1.
-        assert!(eg.dirty_since(v1).contains(&eg.find(gc)));
-
-        // parent_classes over-approximates upward reachability.
-        assert!(eg.parent_classes(eg.find(a)).contains(&eg.find(fa)));
     }
 }

@@ -22,15 +22,11 @@
 //!   and fed from the e-graph's operator index
 //!   ([`EGraph::classes_with_op`]) so a rule only visits classes whose
 //!   members can match its root operator.
-//! * [`Rewrite`], [`Runner`], [`BackoffScheduler`] — saturation proper, with
-//!   per-iteration reports of e-node counts and timings (the raw data behind
-//!   the paper's fig. 4).
-//! * [`seminaive`] — semi-naive (delta-frontier) e-matching in the style of
-//!   egglog: the e-graph's versioned [`DeltaIndex`] records which classes
-//!   changed per rebuild, and [`DeltaSearch`] restricts each rule's scan to
-//!   that frontier (replaying cached matches elsewhere) while emitting a
-//!   stream bit-identical to the whole-graph engines. On by default in the
-//!   [`Runner`]; see [`Runner::with_seminaive`].
+//! * [`Rewrite`], [`Runner`], [`BackoffScheduler`] — saturation proper:
+//!   every step searches each rule over the whole e-graph with the compiled
+//!   VM (serially, or fanned out across threads with bit-identical
+//!   results), with per-iteration reports of e-node counts and timings (the
+//!   raw data behind the paper's fig. 4).
 //! * [`Extract`], [`Extractor`], [`DagExtractor`] and [`CostFunction`] —
 //!   cost-based term extraction (the paper's §V-C extractors are cost
 //!   functions over this engine), with both tree-cost and DAG-cost
@@ -75,7 +71,6 @@
 
 mod analysis;
 pub mod attribution;
-mod delta;
 mod dot;
 mod egraph;
 pub mod explain;
@@ -87,14 +82,12 @@ mod pattern;
 mod rewrite;
 mod runner;
 mod scheduler;
-pub mod seminaive;
 pub mod snapshot;
 mod symbol_lang;
 mod unionfind;
 
 pub use analysis::{Analysis, DidMerge};
 pub use attribution::{Attribution, OriginCounters};
-pub use delta::DeltaIndex;
 pub use dot::Dot;
 pub use egraph::{EClass, EGraph};
 pub use explain::{Direction, Explanation, Justification, ProofError, ProofStep};
@@ -109,7 +102,6 @@ pub use pattern::{Binding, Pattern, PatternNode, PatternParseError, Subst, Var};
 pub use rewrite::{Applier, Rewrite, SearchMatches, Searcher};
 pub use runner::{Iteration, Runner, RunnerLimits, StopReason};
 pub use scheduler::{BackoffScheduler, Scheduler, SimpleScheduler};
-pub use seminaive::{ClosureMemo, DeltaSearch, SearchPlan};
 pub use snapshot::{
     SnapshotAnalysis, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,

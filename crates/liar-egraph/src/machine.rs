@@ -148,11 +148,6 @@ pub struct Program<L> {
     outputs: Vec<(Var, Slot)>,
     /// The root node's [`Language::op_key`] when the root is an `ENode`.
     root_op_key: Option<u64>,
-    /// Nesting depth of the pattern: 0 for a bare variable, else 1 + the
-    /// deepest `ENode` chain. Bounds how far from the match root the
-    /// program dereferences class *contents* (see
-    /// [`delta_depth`](Program::delta_depth)).
-    depth: u32,
 }
 
 impl<L: Language> Program<L> {
@@ -178,7 +173,6 @@ impl<L: Language> Program<L> {
             n_exprs: compiler.n_exprs,
             outputs: compiler.outputs,
             root_op_key,
-            depth: depth_of(nodes, root),
         }
     }
 
@@ -209,23 +203,6 @@ impl<L: Language> Program<L> {
     /// [`EGraph::classes_with_op`](crate::EGraph::classes_with_op).
     pub fn root_op_key(&self) -> Option<u64> {
         self.root_op_key
-    }
-
-    /// The pattern depth when this program is eligible for semi-naive
-    /// (delta-frontier) search, `None` otherwise.
-    ///
-    /// A program is eligible when it uses **no expression slots**: its
-    /// match set for a class is then a function of only the e-node lists
-    /// within `depth - 1` child steps of that class plus the identities of
-    /// the classes bound at `depth` — so the e-graph's
-    /// [delta index](crate::EGraph::dirty_since) plus a `depth - 1` parent
-    /// closure over-approximates every class whose matches can have
-    /// changed. Shift-pattern programs (`Downshift*` / `CompareExpr`)
-    /// also consult analysis data and global hash-cons lookups, which can
-    /// change without any structural dirt, so they always search
-    /// whole-graph.
-    pub fn delta_depth(&self) -> Option<u32> {
-        (self.n_exprs == 0).then_some(self.depth)
     }
 
     /// Execute the program against one e-class, returning every
@@ -339,22 +316,6 @@ impl<L: Language> Program<L> {
                     self.exec(egraph, regs, exprs, pc + 1, found);
                 }
             }
-        }
-    }
-}
-
-/// Nesting depth of the pattern position `id`: variables (plain or
-/// shifted) are 0, an `ENode` is 1 + its deepest child.
-fn depth_of<L: Language>(nodes: &[PatternNode<L>], id: Id) -> u32 {
-    match &nodes[id.index()] {
-        PatternNode::Var(_) | PatternNode::Shifted(..) => 0,
-        PatternNode::ENode(n) => {
-            1 + n
-                .children()
-                .iter()
-                .map(|c| depth_of(nodes, *c))
-                .max()
-                .unwrap_or(0)
         }
     }
 }

@@ -472,10 +472,6 @@ impl<L: Language, A: Analysis<L>> Searcher<L, A> for Pattern<L> {
         Some(self)
     }
 
-    fn delta_depth(&self) -> Option<u32> {
-        self.program.delta_depth()
-    }
-
     fn bound_vars(&self) -> Vec<Var> {
         self.vars()
     }

@@ -10,64 +10,33 @@ use crate::{Analysis, EGraph, Id, Language, Pattern, Subst, Var};
 pub struct SearchMatches<L> {
     /// The matched e-class (canonical at search time).
     pub class: Id,
-    substs: SubstList<L>,
-}
-
-/// Substitution storage: either owned outright, or a prefix view into a
-/// list shared with the semi-naive replay cache. Sharing makes emitting a
-/// cached class O(1) instead of cloning every substitution.
-#[derive(Debug, Clone)]
-enum SubstList<L> {
-    Owned(Vec<Subst<L>>),
-    Shared(Arc<Vec<Subst<L>>>, usize),
+    substs: Vec<Subst<L>>,
 }
 
 impl<L> SearchMatches<L> {
-    /// Matches that own their substitutions.
+    /// Matches of `class`, one substitution per way the pattern matched.
     pub fn new(class: Id, substs: Vec<Subst<L>>) -> Self {
-        SearchMatches {
-            class,
-            substs: SubstList::Owned(substs),
-        }
-    }
-
-    /// Matches viewing the first `take` substitutions of a shared list
-    /// (a semi-naive scan result or replay-cache entry).
-    pub fn shared(class: Id, substs: Arc<Vec<Subst<L>>>, take: usize) -> Self {
-        debug_assert!(take <= substs.len());
-        SearchMatches {
-            class,
-            substs: SubstList::Shared(substs, take),
-        }
+        SearchMatches { class, substs }
     }
 
     /// The substitutions, one per way the pattern matched.
     pub fn substs(&self) -> &[Subst<L>] {
-        match &self.substs {
-            SubstList::Owned(v) => v,
-            SubstList::Shared(v, take) => &v[..*take],
-        }
+        &self.substs
     }
 
     /// Total number of substitutions.
     pub fn len(&self) -> usize {
-        match &self.substs {
-            SubstList::Owned(v) => v.len(),
-            SubstList::Shared(_, take) => *take,
-        }
+        self.substs.len()
     }
 
     /// True when there are no substitutions.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.substs.is_empty()
     }
 
     /// Keep only the first `n` substitutions.
     pub fn truncate(&mut self, n: usize) {
-        match &mut self.substs {
-            SubstList::Owned(v) => v.truncate(n),
-            SubstList::Shared(_, take) => *take = (*take).min(n),
-        }
+        self.substs.truncate(n);
     }
 }
 
@@ -122,55 +91,6 @@ pub trait Searcher<L: Language, A: Analysis<L>>: Send + Sync {
     /// swap compiled patterns for the legacy oracle matcher.
     fn as_pattern(&self) -> Option<&Pattern<L>> {
         None
-    }
-
-    /// The searcher's pattern depth when it is eligible for semi-naive
-    /// (delta-frontier) search; `None` (the default) keeps it on the
-    /// whole-graph path.
-    ///
-    /// Returning `Some(depth)` is a contract: the substitutions
-    /// [`search_class`](Searcher::search_class) produces for a class must
-    /// be a function of only (a) the e-node lists of classes reachable
-    /// within `depth - 1` child steps of it and (b) the identities of
-    /// classes at exactly `depth` steps. Compiled [`Pattern`]s without
-    /// shift bindings satisfy this (see
-    /// [`Program::delta_depth`](crate::machine::Program::delta_depth));
-    /// custom searchers and the oracle matcher stay whole-graph.
-    fn delta_depth(&self) -> Option<u32> {
-        None
-    }
-
-    /// Fingerprint of the *global* inputs to
-    /// [`search_class`](Searcher::search_class) — state outside the
-    /// per-class window that [`delta_depth`](Searcher::delta_depth)
-    /// describes. Only consulted for delta-eligible searchers: when the
-    /// value changes between iterations, the semi-naive engine discards
-    /// every cached result for the rule and rescans its whole candidate
-    /// universe, exactly as if the rule had never searched.
-    ///
-    /// Compiled patterns depend on nothing global and keep the default
-    /// (a constant). Searchers that pair every class with an auxiliary
-    /// candidate list — the intro rules — hash that list here, because a
-    /// grown or shrunk list changes the match set of *clean* classes too.
-    fn delta_fingerprint(&self, egraph: &EGraph<L, A>) -> u64 {
-        let _ = egraph;
-        0
-    }
-
-    /// A **guaranteed lower bound** on the number of substitutions
-    /// [`search_class`](Searcher::search_class) yields for *every* class
-    /// in the candidate universe, on this snapshot. The default (0) is
-    /// always sound.
-    ///
-    /// The semi-naive planner uses it to truncate plans under a match
-    /// limit: once the planned entries' guaranteed yields alone meet the
-    /// budget, no later entry could ever execute, so it stays pending.
-    /// Only searchers whose per-class yield is uniform and known — the
-    /// tuple intro rules, which emit one substitution per global candidate
-    /// for every class — return a nonzero bound.
-    fn min_class_yield(&self, egraph: &EGraph<L, A>) -> usize {
-        let _ = egraph;
-        0
     }
 
     /// Variables this searcher binds (used to validate rewrites).
@@ -312,24 +232,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Rewrite<L, A> {
     /// one (custom searchers return `None`).
     pub fn searcher_pattern(&self) -> Option<&Pattern<L>> {
         self.searcher.as_pattern()
-    }
-
-    /// The searcher's semi-naive eligibility (see
-    /// [`Searcher::delta_depth`]).
-    pub fn delta_depth(&self) -> Option<u32> {
-        self.searcher.delta_depth()
-    }
-
-    /// The searcher's global-input fingerprint (see
-    /// [`Searcher::delta_fingerprint`]).
-    pub fn delta_fingerprint(&self, egraph: &EGraph<L, A>) -> u64 {
-        self.searcher.delta_fingerprint(egraph)
-    }
-
-    /// The searcher's guaranteed per-class yield floor (see
-    /// [`Searcher::min_class_yield`]).
-    pub fn min_class_yield(&self, egraph: &EGraph<L, A>) -> usize {
-        self.searcher.min_class_yield(egraph)
     }
 
     /// A copy of this rule whose pattern searcher (if any) is replaced by

@@ -6,12 +6,6 @@
 //! e-class-chunk) pair becomes an independent job, and the per-rule match
 //! lists are merged back in (rule order, ascending class id) order, making
 //! the multi-threaded engine bit-identical to the serial one.
-//!
-//! Search is also *semi-naive* by default (see [`Runner::with_seminaive`]
-//! and the [`seminaive`](crate::seminaive) module): eligible rules scan only
-//! the classes the e-graph's delta index marks as changed since the rule
-//! last ran, replaying cached matches elsewhere — with a match stream, and
-//! therefore a saturation run, bit-identical to the whole-graph engines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -20,8 +14,7 @@ use std::time::{Duration, Instant};
 use liar_trace::{FlightKind, FlightRecorder, Recorder, TraceSink};
 
 use crate::rewrite::SearchMatches;
-use crate::seminaive::{self, ClosureMemo, DeltaSearch, PlanEntry, SearchPlan};
-use crate::{Analysis, EGraph, Id, Language, Rewrite, Scheduler, SimpleScheduler, Subst};
+use crate::{Analysis, EGraph, Id, Language, Rewrite, Scheduler, SimpleScheduler};
 
 /// Why a [`Runner`] stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,12 +93,9 @@ pub struct Iteration {
     /// whole-e-graph searchers count every class. Identical under the
     /// serial and parallel engines.
     pub search_candidates: usize,
-    /// E-classes the search phase actually *scanned* with the e-matching
-    /// VM. Under semi-naive search (the default) eligible rules scan only
-    /// their delta frontier and replay cached matches elsewhere, so this is
-    /// typically far below [`search_candidates`](Iteration::search_candidates);
-    /// with [`Runner::with_seminaive`]`(false)` the two are equal. Purely a
-    /// work statistic: match output is identical either way.
+    /// Always equal to [`search_candidates`](Iteration::search_candidates):
+    /// every scheduled candidate class is scanned. Kept for the benchmark
+    /// ledger, which still records it.
     pub frontier_candidates: usize,
     /// Substitutions produced by the search phase (post-limit, pre-apply).
     pub search_matches: usize,
@@ -145,9 +135,6 @@ pub struct Runner<L: Language, A: Analysis<L>> {
     limits: RunnerLimits,
     scheduler: Box<dyn Scheduler>,
     threads: usize,
-    seminaive: bool,
-    delta: Option<DeltaSearch<L>>,
-    warm_synced: Option<u64>,
     start: Option<Instant>,
     trace: TraceSink,
     flight: Option<Arc<FlightRecorder>>,
@@ -164,9 +151,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             limits: RunnerLimits::default(),
             scheduler: Box::new(SimpleScheduler),
             threads: 1,
-            seminaive: true,
-            delta: None,
-            warm_synced: None,
             start: None,
             trace: TraceSink::off(),
             flight: None,
@@ -221,35 +205,12 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         self
     }
 
-    /// Enable or disable semi-naive (delta-frontier) search. On by default.
+    /// Does nothing: every search scans the whole e-graph.
     ///
-    /// When on, rules whose searcher reports a
-    /// [`delta_depth`](crate::Searcher::delta_depth) scan only the e-classes
-    /// changed since the rule last ran (see [`crate::seminaive`]) and replay
-    /// cached matches for the rest; the emitted match stream — and hence the
-    /// whole saturation run, its reports (bar
-    /// [`frontier_candidates`](Iteration::frontier_candidates) and timings),
-    /// scheduler interactions and explanations — is **bit-identical** to the
-    /// whole-graph engine. Per-rule state is keyed by rule *index*, so a
-    /// runner must see the same rule slice on every
-    /// [`run_one`](Runner::run_one) call (the same contract the
-    /// [`Scheduler`] already imposes).
-    pub fn with_seminaive(mut self, on: bool) -> Self {
-        self.seminaive = on;
-        self
-    }
-
-    /// Pre-seal the semi-naive frontier at delta version `synced`
-    /// (see [`DeltaSearch::new_synced`]).
-    ///
-    /// For warm starts from a restored snapshot: every rule's first search
-    /// skips classes sealed at or before `synced` and scans only work added
-    /// since — sound only when the rule slice already saturated against the
-    /// pre-`synced` graph. Consumed by the first semi-naive step; if the
-    /// rule-slice length later changes (which discards per-rule state), the
-    /// rebuilt state is cold.
-    pub fn with_warm_frontier(mut self, synced: u64) -> Self {
-        self.warm_synced = Some(synced);
+    /// Exists only because the benchmark ledger (`ledger/src/layers.rs`)
+    /// still calls it; remove it once that caller is gone.
+    #[doc(hidden)]
+    pub fn with_seminaive(self, _on: bool) -> Self {
         self
     }
 
@@ -366,76 +327,13 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             })
             .collect();
         let search_candidates: usize = rule_candidates.iter().sum();
-        // Semi-naive plans for eligible rules: scan the delta frontier,
-        // replay everything else. Per-rule state is indexed by rule
-        // position, so it is rebuilt if the rule-slice length ever changes.
-        if self.seminaive
-            && self
-                .delta
-                .as_ref()
-                .is_none_or(|d| d.n_rules() != rules.len())
-        {
-            self.delta = Some(DeltaSearch::new_synced(
-                rules.len(),
-                self.warm_synced.take().unwrap_or(0),
-            ));
-        }
-        let plans: Vec<Option<SearchPlan<L>>> = match (self.seminaive, self.delta.as_mut()) {
-            (true, Some(ds)) => {
-                let egraph = &self.egraph;
-                let mut closures = ClosureMemo::default();
-                rules
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rule)| {
-                        let limit = (*limits.get(i)?)?;
-                        if !rule.can_search_per_class() {
-                            return None;
-                        }
-                        let depth = rule.delta_depth()?;
-                        let full_universe = candidates[i].is_none();
-                        let universe = candidates[i].as_deref().unwrap_or(&class_ids);
-                        let aux_fp = rule.delta_fingerprint(egraph);
-                        let min_yield = rule.min_class_yield(egraph);
-                        let plan = ds.begin(
-                            egraph,
-                            i,
-                            depth,
-                            universe,
-                            full_universe,
-                            aux_fp,
-                            limit,
-                            min_yield,
-                            &mut closures,
-                        );
-                        Some(plan)
-                    })
-                    .collect()
-            }
-            _ => rules.iter().map(|_| None).collect(),
-        };
-        let frontier_candidates: usize = rules
-            .iter()
-            .zip(&limits)
-            .zip(&candidates)
-            .zip(&plans)
-            .map(|(((_, limit), cands), plan)| match (limit, plan) {
-                (None, _) => 0,
-                (Some(_), Some(plan)) => plan.n_scans,
-                (Some(_), None) => match cands {
-                    Some(ids) => ids.len(),
-                    None => class_ids.len(),
-                },
-            })
-            .sum();
-        let (all_matches, committed) = if self.threads > 1 {
+        let all_matches = if self.threads > 1 {
             parallel_search(
                 &self.egraph,
                 rules,
                 &limits,
                 &candidates,
                 &class_ids,
-                &plans,
                 self.threads,
             )
         } else {
@@ -445,17 +343,9 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
                 &limits,
                 &candidates,
                 &class_ids,
-                &plans,
                 &mut self.trace,
             )
         };
-        if let Some(ds) = self.delta.as_mut() {
-            for (i, scans) in committed.into_iter().enumerate() {
-                if plans[i].is_some() {
-                    ds.commit(i, scans);
-                }
-            }
-        }
         let mut search_matches = 0;
         let mut rule_matches = Vec::with_capacity(all_matches.len());
         for (i, matches) in all_matches.iter().enumerate() {
@@ -482,7 +372,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             search_span,
             &[
                 ("candidates", search_candidates as f64),
-                ("frontier", frontier_candidates as f64),
                 ("matches", search_matches as f64),
             ],
         );
@@ -521,7 +410,7 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             searched: rule_candidates.into_iter().zip(rule_matches).collect(),
             rebuild_unions,
             search_candidates,
-            frontier_candidates,
+            frontier_candidates: search_candidates,
             search_matches,
             search_time,
             apply_time,
@@ -556,35 +445,26 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
     }
 }
 
-/// Per-rule search output: the emitted match lists, plus — for rules that
-/// ran under a semi-naive plan — the full results of the scans that
-/// actually executed, in plan order, for [`DeltaSearch::commit`].
-type SearchOutput<L> = (Vec<Vec<SearchMatches<L>>>, Vec<seminaive::ScanResults<L>>);
-
 /// Search every non-banned rule serially, in rule order.
 ///
-/// Rules with a semi-naive [`SearchPlan`] execute it (scan the frontier,
-/// replay the cache). Other per-class-capable rules iterate their candidate
-/// list — the sorted operator-index classes when available, the shared
-/// sorted class-id list otherwise — and replicate
+/// Per-class-capable rules iterate their candidate list — the sorted
+/// operator-index classes when available, the shared sorted class-id list
+/// otherwise — and replicate
 /// [`Searcher::search`](crate::Searcher::search) truncation semantics
 /// exactly; custom searchers fall back to their own whole-e-graph `search`.
 /// Skipping non-candidate classes is sound because
 /// [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)
 /// over-approximates: a skipped class would have produced zero matches and
 /// therefore cannot affect limits or output order.
-#[allow(clippy::too_many_arguments)] // Internal: mirrors `parallel_search`.
 fn serial_search<L: Language + 'static, A: Analysis<L> + 'static>(
     egraph: &EGraph<L, A>,
     rules: &[Rewrite<L, A>],
     limits: &[Option<usize>],
     candidates: &[Option<Vec<Id>>],
     class_ids: &[Id],
-    plans: &[Option<SearchPlan<L>>],
     trace: &mut TraceSink,
-) -> SearchOutput<L> {
+) -> Vec<Vec<SearchMatches<L>>> {
     let mut all = Vec::with_capacity(rules.len());
-    let mut committed = Vec::with_capacity(rules.len());
     for (i, rule) in rules.iter().enumerate() {
         // Banned rules get no span (their ban marker already tells the
         // story); everything else records a `search/<rule>` span.
@@ -592,33 +472,31 @@ fn serial_search<L: Language + 'static, A: Analysis<L> + 'static>(
             Some(_) => trace.begin_args(format_args!("search/{}", rule.name())),
             None => liar_trace::SpanToken::NOOP,
         };
-        let (matches, scans) = match (&limits[i], &plans[i]) {
-            (None, _) => (Vec::new(), Vec::new()),
-            (Some(limit), Some(plan)) => seminaive::execute_plan_serial(plan, egraph, rule, *limit),
-            (Some(limit), None) if rule.can_search_per_class() => {
+        let matches = match limits[i] {
+            None => Vec::new(),
+            Some(limit) if rule.can_search_per_class() => {
                 let ids: &[Id] = candidates[i].as_deref().unwrap_or(class_ids);
                 let mut total = 0;
                 let mut out = Vec::new();
                 for &id in ids {
-                    if total >= *limit {
+                    if total >= limit {
                         break;
                     }
-                    let substs = rule.search_class(egraph, id, *limit - total);
+                    let substs = rule.search_class(egraph, id, limit - total);
                     if !substs.is_empty() {
                         total += substs.len();
                         out.push(SearchMatches::new(id, substs));
                     }
                 }
-                (out, Vec::new())
+                out
             }
-            (Some(limit), None) => (rule.search(egraph, *limit), Vec::new()),
+            Some(limit) => rule.search(egraph, limit),
         };
         let n_matches: usize = matches.iter().map(|m| m.len()).sum();
         trace.end_with(rule_span, &[("matches", n_matches as f64)]);
         all.push(matches);
-        committed.push(scans);
     }
-    (all, committed)
+    all
 }
 
 /// One unit of parallel search work.
@@ -628,49 +506,34 @@ enum SearchJob {
     /// Match the rule against its candidate list's `[start..end]` slice
     /// (pattern searchers).
     Chunk { rule: usize, start: usize, end: usize },
-    /// Execute the rule's semi-naive plan entries `[start..end]`.
-    PlanChunk { rule: usize, start: usize, end: usize },
 }
 
-/// What a parallel worker hands back for one job.
-enum JobResult<L> {
-    /// Whole/chunk jobs: ready-made match lists.
-    Matches(Vec<SearchMatches<L>>),
-    /// Plan-chunk jobs: one slot per processed plan entry — the **full**
-    /// scan result for a [`PlanEntry::Scan`], `None` for a
-    /// [`PlanEntry::Replay`] (the merge already holds the cached list).
-    Scans(Vec<Option<Arc<Vec<Subst<L>>>>>),
+impl SearchJob {
+    fn rule(&self) -> usize {
+        match *self {
+            SearchJob::Whole { rule } | SearchJob::Chunk { rule, .. } => rule,
+        }
+    }
 }
 
 /// Search every non-banned rule using `threads` worker threads.
 ///
-/// Rules with a semi-naive [`SearchPlan`] are split into (rule ×
-/// plan-entry-chunk) jobs; other per-class-capable rules into (rule ×
-/// candidate-chunk) jobs over the same per-rule candidate lists the serial
-/// engine iterates; the rest run as one job each. Workers pull jobs from a
-/// shared queue, and each rule's chunk results are merged back in
-/// ascending-class order with the rule's match limit applied across the
-/// merged list — reproducing [`Searcher::search`](crate::Searcher::search)
-/// semantics exactly, so the output (and therefore the whole saturation
-/// run) is bit-identical to [`serial_search`].
-///
-/// For plan rules the merge also reconstructs the committed-scan list: a
-/// scan is committed iff the merge consumed its plan entry before the
-/// rule's budget ran out — the exact set [`seminaive::execute_plan_serial`]
-/// would have run, so the semi-naive state evolves identically under both
-/// engines. A worker chunk may stop early once its *local* cumulative
-/// match count reaches the limit: by then the merged budget is necessarily
-/// exhausted at or before that entry, so the merge never reads further
-/// into that chunk.
+/// Per-class-capable rules are split into (rule × candidate-chunk) jobs
+/// over the same per-rule candidate lists the serial engine iterates; the
+/// rest run as one job each. Workers pull jobs from a shared queue, and
+/// each rule's chunk results are merged back in ascending-class order with
+/// the rule's match limit applied across the merged list — reproducing
+/// [`Searcher::search`](crate::Searcher::search) semantics exactly, so the
+/// output (and therefore the whole saturation run) is bit-identical to
+/// [`serial_search`].
 fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
     egraph: &EGraph<L, A>,
     rules: &[Rewrite<L, A>],
     limits: &[Option<usize>],
     candidates: &[Option<Vec<Id>>],
     class_ids: &[Id],
-    plans: &[Option<SearchPlan<L>>],
     threads: usize,
-) -> SearchOutput<L> {
+) -> Vec<Vec<SearchMatches<L>>> {
     // The classes a per-class rule's chunks range over.
     let rule_ids = |rule: usize| -> &[Id] { candidates[rule].as_deref().unwrap_or(class_ids) };
     // Aim for a few jobs per thread per rule so stragglers rebalance, but
@@ -682,14 +545,7 @@ fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
         if limits[i].is_none() {
             continue; // Banned this iteration.
         }
-        if let Some(plan) = &plans[i] {
-            let mut start = 0;
-            while start < plan.entries.len() {
-                let end = (start + chunk_len).min(plan.entries.len());
-                jobs.push(SearchJob::PlanChunk { rule: i, start, end });
-                start = end;
-            }
-        } else if rule.can_search_per_class() {
+        if rule.can_search_per_class() {
             let ids = rule_ids(i);
             let mut start = 0;
             while start < ids.len() {
@@ -702,19 +558,18 @@ fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
         }
     }
 
-    let results: Vec<OnceLock<JobResult<L>>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let results: Vec<OnceLock<Vec<SearchMatches<L>>>> =
+        jobs.iter().map(|_| OnceLock::new()).collect();
     let next_job = AtomicUsize::new(0);
-    let run_job = |job: &SearchJob| -> JobResult<L> {
+    let run_job = |job: &SearchJob| -> Vec<SearchMatches<L>> {
+        let limit = limits[job.rule()].expect("job for unbanned rule");
         match *job {
-            SearchJob::Whole { rule } => JobResult::Matches(
-                rules[rule].search(egraph, limits[rule].expect("job for unbanned rule")),
-            ),
+            SearchJob::Whole { rule } => rules[rule].search(egraph, limit),
             SearchJob::Chunk { rule, start, end } => {
                 // Cross-class truncation happens at merge time, but a chunk
                 // can still stop early: the merge consumes its matches in
                 // order, so anything beyond `limit` cumulative substitutions
                 // from one chunk could never survive the merged budget.
-                let limit = limits[rule].expect("job for unbanned rule");
                 let mut found = 0;
                 let mut out = Vec::new();
                 for &id in &rule_ids(rule)[start..end] {
@@ -727,32 +582,7 @@ fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
                         out.push(SearchMatches::new(id, substs));
                     }
                 }
-                JobResult::Matches(out)
-            }
-            SearchJob::PlanChunk { rule, start, end } => {
-                let limit = limits[rule].expect("job for unbanned rule");
-                let plan = plans[rule].as_ref().expect("plan job for plan rule");
-                let mut counted = 0;
-                let mut out = Vec::new();
-                for entry in &plan.entries[start..end] {
-                    if counted >= limit {
-                        break;
-                    }
-                    match entry {
-                        PlanEntry::Scan(id) => {
-                            // Full (untruncated) scan: the merge truncates
-                            // at emission and commits the full list.
-                            let full = Arc::new(rules[rule].search_class(egraph, *id, usize::MAX));
-                            counted += full.len();
-                            out.push(Some(full));
-                        }
-                        PlanEntry::Replay(_, cached) => {
-                            counted += cached.len();
-                            out.push(None);
-                        }
-                    }
-                }
-                JobResult::Scans(out)
+                out
             }
         }
     };
@@ -769,66 +599,24 @@ fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
     // Merge: chunk jobs were created in (rule, ascending class) order, so a
     // stable pass over the job list groups them correctly.
     let mut merged: Vec<Vec<SearchMatches<L>>> = vec![Vec::new(); rules.len()];
-    let mut committed: Vec<seminaive::ScanResults<L>> = vec![Vec::new(); rules.len()];
     let mut taken: Vec<usize> = vec![0; rules.len()];
     for (job, result) in jobs.iter().zip(results) {
-        let result = result.into_inner().expect("all jobs ran");
-        match (job, result) {
-            (
-                SearchJob::Whole { rule } | SearchJob::Chunk { rule, .. },
-                JobResult::Matches(matches),
-            ) => {
-                let rule = *rule;
-                let limit = limits[rule].expect("job for unbanned rule");
-                for mut m in matches {
-                    // Identical truncation to the serial searcher: stop as
-                    // soon as the budget is reached, clip the match set
-                    // that crosses it.
-                    if taken[rule] >= limit {
-                        break;
-                    }
-                    if taken[rule] + m.len() > limit {
-                        m.truncate(limit - taken[rule]);
-                    }
-                    taken[rule] += m.len();
-                    merged[rule].push(m);
-                }
+        let rule = job.rule();
+        let limit = limits[rule].expect("job for unbanned rule");
+        for mut m in result.into_inner().expect("all jobs ran") {
+            // Identical truncation to the serial searcher: stop as soon as
+            // the budget is reached, clip the match set that crosses it.
+            if taken[rule] >= limit {
+                break;
             }
-            (SearchJob::PlanChunk { rule, start, end }, JobResult::Scans(scans)) => {
-                let rule = *rule;
-                let limit = limits[rule].expect("job for unbanned rule");
-                let plan = plans[rule].as_ref().expect("plan job for plan rule");
-                let mut scans = scans.into_iter();
-                for entry in &plan.entries[*start..*end] {
-                    if taken[rule] >= limit {
-                        break;
-                    }
-                    match entry {
-                        PlanEntry::Scan(id) => {
-                            let full = scans
-                                .next()
-                                .flatten()
-                                .expect("worker covered the merged prefix");
-                            seminaive::emit(*id, &full, limit, &mut taken[rule], &mut merged[rule]);
-                            committed[rule].push((*id, full));
-                        }
-                        PlanEntry::Replay(id, cached) => {
-                            let _ = scans.next();
-                            seminaive::emit(
-                                *id,
-                                cached,
-                                limit,
-                                &mut taken[rule],
-                                &mut merged[rule],
-                            );
-                        }
-                    }
-                }
+            if taken[rule] + m.len() > limit {
+                m.truncate(limit - taken[rule]);
             }
-            _ => unreachable!("job and result kinds always agree"),
+            taken[rule] += m.len();
+            merged[rule].push(m);
         }
     }
-    (merged, committed)
+    merged
 }
 
 impl<L: Language, A: Analysis<L>> std::fmt::Debug for Runner<L, A> {
@@ -951,7 +739,6 @@ mod tests {
                 assert_eq!(s.applied, p.applied, "step {}", s.index);
                 assert_eq!(s.rebuild_unions, p.rebuild_unions, "step {}", s.index);
                 assert_eq!(s.search_candidates, p.search_candidates, "step {}", s.index);
-                assert_eq!(s.frontier_candidates, p.frontier_candidates, "step {}", s.index);
                 assert_eq!(s.search_matches, p.search_matches, "step {}", s.index);
             }
             assert_eq!(serial.stop_reason, parallel.stop_reason);
@@ -985,84 +772,6 @@ mod tests {
         };
         assert_eq!(counts(&serial), counts(&parallel));
         assert_eq!(serial.egraph.num_nodes(), parallel.egraph.num_nodes());
-    }
-
-    #[test]
-    fn seminaive_runs_are_bit_identical_to_whole_graph() {
-        use crate::BackoffScheduler;
-
-        // comm saturates its one `+` class after two steps, while grow keeps
-        // dirtying only the `k` class every step — so late iterations
-        // exercise a frontier strictly smaller than the candidate universe.
-        let grow = || Rewrite::<SymbolLang, ()>::from_patterns("grow", "(k ?x)", "(k (f ?x))");
-        let run = |seminaive: bool, threads: usize| {
-            let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
-            let root = eg.add_expr(&"(g (+ a b) (k c))".parse().unwrap());
-            let mut runner = Runner::new(eg)
-                .with_root(root)
-                .with_iter_limit(8)
-                .with_scheduler(BackoffScheduler::new(50, 2))
-                .with_seminaive(seminaive)
-                .with_threads(threads);
-            runner.run(&[comm(), grow()]);
-            runner
-        };
-        let naive = run(false, 1);
-        for threads in [1, 3] {
-            let semi = run(true, threads);
-            assert_eq!(naive.stop_reason, semi.stop_reason, "{threads} threads");
-            assert_eq!(naive.iterations.len(), semi.iterations.len());
-            for (n, s) in naive.iterations.iter().zip(&semi.iterations) {
-                assert_eq!(n.n_nodes, s.n_nodes, "step {}", n.index);
-                assert_eq!(n.n_classes, s.n_classes, "step {}", n.index);
-                assert_eq!(n.applied, s.applied, "step {}", n.index);
-                assert_eq!(n.rebuild_unions, s.rebuild_unions, "step {}", n.index);
-                assert_eq!(n.search_candidates, s.search_candidates, "step {}", n.index);
-                assert_eq!(n.search_matches, s.search_matches, "step {}", n.index);
-                // Whole-graph scans everything it schedules...
-                assert_eq!(n.frontier_candidates, n.search_candidates);
-                // ...semi-naive never scans more.
-                assert!(s.frontier_candidates <= s.search_candidates, "step {}", n.index);
-            }
-            let scanned: usize = semi.iterations.iter().map(|i| i.frontier_candidates).sum();
-            let scheduled: usize = semi.iterations.iter().map(|i| i.search_candidates).sum();
-            assert!(
-                scanned < scheduled,
-                "frontier never shrank: {scanned} vs {scheduled}"
-            );
-            semi.egraph.assert_invariants();
-        }
-    }
-
-    #[test]
-    fn seminaive_respects_match_limits_across_engines() {
-        // Tight budgets leave scans pending across iterations; the pending
-        // carry-over must not change what gets applied vs the naive engine.
-        let grow = Rewrite::from_patterns("grow", "(+ ?x ?y)", "(+ (f ?x) ?y)");
-        let run = |seminaive: bool, threads: usize| {
-            let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
-            for name in ["a", "b", "c", "d", "e", "g"] {
-                let leaf = eg.add(SymbolLang::leaf(name));
-                let leaf2 = eg.add(SymbolLang::leaf("z"));
-                eg.add(SymbolLang::new("+", vec![leaf, leaf2]));
-            }
-            let mut runner = Runner::new(eg)
-                .with_iter_limit(4)
-                .with_scheduler(crate::BackoffScheduler::new(3, 1))
-                .with_seminaive(seminaive)
-                .with_threads(threads);
-            runner.run(std::slice::from_ref(&grow));
-            runner
-        };
-        let naive = run(false, 1);
-        for threads in [1, 4] {
-            let semi = run(true, threads);
-            let counts = |r: &Runner<SymbolLang, ()>| -> Vec<Vec<(String, usize)>> {
-                r.iterations.iter().map(|i| i.applied.clone()).collect()
-            };
-            assert_eq!(counts(&naive), counts(&semi), "{threads} threads");
-            assert_eq!(naive.egraph.num_nodes(), semi.egraph.num_nodes());
-        }
     }
 
     #[test]

@@ -3,14 +3,12 @@
 //! [`EGraph::snapshot`] freezes a **clean** (rebuilt) e-graph into a flat
 //! byte vector: the union-find's raw parent table, every e-class's
 //! canonical node arena and parent back-pointers, the analysis facts, the
-//! hash-cons memo, the versioned [`DeltaIndex`], and —
-//! when proof production is enabled — the full explanation forest.
-//! [`EGraph::restore`] rebuilds an e-graph that is *behaviorally
-//! identical*: the same canonical ids (before and after a `rebuild()`),
-//! the same operator index, bit-identical extraction results under every
-//! extractor and cost model, the same semi-naive frontier
-//! ([`dirty_since`](crate::EGraph::dirty_since) on the sealed version is
-//! empty), and replayable [`Explanation`](crate::Explanation)s.
+//! hash-cons memo, and — when proof production is enabled — the full
+//! explanation forest. [`EGraph::restore`] rebuilds an e-graph that is
+//! *behaviorally identical*: the same canonical ids (before and after a
+//! `rebuild()`), the same operator index, bit-identical extraction results
+//! under every extractor and cost model, and replayable
+//! [`Explanation`](crate::Explanation)s.
 //!
 //! # Format
 //!
@@ -27,9 +25,6 @@
 //!            u32 id, u32 n_nodes, nodes, u32 n_parents,
 //!            n_parents × (node, u32 parent-id), analysis data
 //! memo     u32 n, then n × (node, u32 id)           sorted by node
-//! delta    u64 version, u32 n_epochs,
-//!            n_epochs × (u64 version, u32 n, n × u32 id),
-//!            u32 n_unsealed, ids
 //! explain  (flag bit 0 only) u32 n_ids ×
 //!            (node, u32 parent, u8 tag[, u32 rule-name], u8 forward),
 //!          u32 n_uncanon, n × (node, u32 id)        sorted by node
@@ -67,7 +62,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::delta::DeltaIndex;
 use crate::explain::{Explain, Justification};
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
@@ -79,7 +73,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LIARSNAP";
 /// The current snapshot format version. Bumped on any layout or
 /// semantics change; snapshots of other versions are rejected with
 /// [`SnapshotError::VersionMismatch`] (re-saturating is always sound).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A structured snapshot failure: every way `snapshot()`/`restore()` can
 /// refuse, with enough context to log. Restore never panics on corrupt
@@ -485,22 +479,6 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
             w.write_id(id);
         }
 
-        let delta = self.delta();
-        w.write_u64(delta.version());
-        let epochs: Vec<(u64, &[Id])> = delta.epochs().collect();
-        w.write_u32(epochs.len() as u32);
-        for (version, dirty) in epochs {
-            w.write_u64(version);
-            w.write_u32(dirty.len() as u32);
-            for id in dirty {
-                w.write_id(*id);
-            }
-        }
-        w.write_u32(delta.unsealed().len() as u32);
-        for id in delta.unsealed() {
-            w.write_id(*id);
-        }
-
         if let Some(explain) = explain {
             for (node, parent, justification, forward) in explain.forest() {
                 write_node(&mut w, &index, node);
@@ -644,30 +622,6 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
             memo.insert(node, id);
         }
 
-        let delta_version = r.read_u64()?;
-        let n_epochs = r.read_u32()? as usize;
-        let mut epochs = Vec::with_capacity(n_epochs.min(1 << 16));
-        let mut prev_epoch: Option<u64> = None;
-        for _ in 0..n_epochs {
-            let v = r.read_u64()?;
-            if prev_epoch.is_some_and(|p| p >= v) || v >= delta_version {
-                return Err(r.corrupt(format!("delta epoch {v} out of order")));
-            }
-            prev_epoch = Some(v);
-            let n = r.read_u32()? as usize;
-            let mut dirty = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                dirty.push(r.read_id(n_ids)?);
-            }
-            epochs.push((v, dirty));
-        }
-        let n_unsealed = r.read_u32()? as usize;
-        let mut unsealed = Vec::with_capacity(n_unsealed.min(1 << 20));
-        for _ in 0..n_unsealed {
-            unsealed.push(r.read_id(n_ids)?);
-        }
-        let delta = DeltaIndex::restore(delta_version, epochs, unsealed);
-
         let explain = if has_explain {
             let mut forest = Vec::with_capacity(n_ids);
             let mut forest_parents = Vec::with_capacity(n_ids);
@@ -718,7 +672,7 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         }
 
         Ok(EGraph::from_snapshot_parts(
-            analysis, unionfind, memo, classes, delta, explain,
+            analysis, unionfind, memo, classes, explain,
         ))
     }
 }
@@ -759,7 +713,6 @@ mod tests {
     fn assert_same_graph(a: &EG, b: &EG) {
         assert_eq!(a.num_classes(), b.num_classes());
         assert_eq!(a.num_nodes(), b.num_nodes());
-        assert_eq!(a.delta_version(), b.delta_version());
         let ca = a.classes_sorted();
         let cb = b.classes_sorted();
         for (x, y) in ca.iter().zip(cb.iter()) {
@@ -770,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_classes_index_and_frontier() {
+    fn round_trip_preserves_classes_and_index() {
         let (egraph, root) = saturated("(+ (* a 2) (g b))", false);
         let bytes = egraph.snapshot().unwrap();
         let restored = EG::restore((), &bytes).unwrap();
@@ -779,12 +732,6 @@ mod tests {
         // Operator index answers identically.
         let key = SymbolLang::new("+", vec![Id::from_index(0), Id::from_index(0)]).op_key();
         assert_eq!(egraph.classes_with_op(key), restored.classes_with_op(key));
-        // The sealed frontier is empty after restore…
-        assert!(restored.dirty_since(restored.delta_version()).is_empty());
-        // …and matches the original at every earlier version.
-        for v in 0..=egraph.delta_version() {
-            assert_eq!(egraph.dirty_since(v), restored.dirty_since(v));
-        }
         // Extraction is bit-identical.
         let (c0, b0) = Extractor::new(&egraph, AstSize).find_best(root);
         let (c1, b1) = Extractor::new(&restored, AstSize).find_best(root);

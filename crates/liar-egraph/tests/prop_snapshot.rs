@@ -1,9 +1,8 @@
 //! Property tests for e-graph snapshots: on arbitrary evolving e-graphs
-//! (the seeded generator of `prop_seminaive.rs` — random terms, then
-//! rounds of adds and unions with rebuilds collapsing classes), a
-//! snapshot → restore round trip must reproduce the canonical e-class
-//! tables exactly, behave identically under whole-graph e-matching, and
-//! re-snapshot to the very same bytes.
+//! (random terms, then rounds of adds and unions with rebuilds
+//! collapsing classes), a snapshot → restore round trip must reproduce
+//! the canonical e-class tables exactly, behave identically under
+//! e-matching, and re-snapshot to the very same bytes.
 //!
 //! Gated behind the `proptest` feature like the other property suites
 //! (the offline workspace does not vendor proptest).
@@ -16,8 +15,7 @@ use liar_egraph::{EGraph, Id, Language, RecExpr, Rewrite, SymbolLang};
 
 type EG = EGraph<SymbolLang, ()>;
 
-/// Random terms over a small signature (shared shape with
-/// `prop_seminaive.rs`).
+/// Random terms over a small signature.
 fn arb_term(depth: u32) -> BoxedStrategy<RecExpr<SymbolLang>> {
     fn add(expr: &mut RecExpr<SymbolLang>, t: &Tree) -> Id {
         match t {
@@ -110,7 +108,7 @@ fn build(
 proptest! {
     /// Snapshot → restore reproduces the canonical class tables, the
     /// roots' canonical ids (stable across one further `rebuild()`), and
-    /// the whole-graph match stream of every pattern in the pool.
+    /// the match stream of every pattern in the pool.
     #[test]
     fn restore_round_trips_canonical_class_tables(
         seed_terms in proptest::collection::vec(arb_term(4), 2..6),

@@ -7,10 +7,9 @@
 //! break, the VM changed what LIAR discovers.
 
 use liar::core::rules::{named_rulesets, rules_for, RuleConfig, Target};
-use liar::core::{Liar, TargetCost};
+use liar::core::TargetCost;
 use liar::egraph::{
-    BackoffScheduler, Binding, ClosureMemo, DeltaSearch, Extractor, Pattern, Rewrite, Runner,
-    SearchMatches, Subst, SymbolLang,
+    BackoffScheduler, Binding, Extractor, Pattern, Rewrite, Runner, Subst, SymbolLang,
 };
 use liar::ir::{dsl, ArrayAnalysis, ArrayEGraph, ArrayLang, Expr};
 use liar::kernels::Kernel;
@@ -248,122 +247,6 @@ fn shift_patterns_differential() {
             .any(|(_, b)| matches!(b, Binding::Expr(_)))
     });
     assert!(any_expr, "no Expr bindings produced by shift patterns");
-}
-
-/// Ordered equality of two whole search results (lists of per-class match
-/// sets): same classes, same substitutions, same order.
-fn assert_same_matches(
-    egraph: &AEGraph,
-    a: &[SearchMatches<ArrayLang>],
-    b: &[SearchMatches<ArrayLang>],
-    context: &str,
-) {
-    assert_eq!(a.len(), b.len(), "{context}: matched-class count diverged");
-    for (ma, mb) in a.iter().zip(b) {
-        assert_eq!(ma.class, mb.class, "{context}: class order diverged");
-        assert_same_substs(
-            egraph,
-            ma.substs(),
-            mb.substs(),
-            &format!("{context}, class {}", ma.class),
-        );
-    }
-}
-
-/// The semi-naive wall, engine level: a [`DeltaSearch`] riding alongside a
-/// stepping saturation must produce — on **every iteration**, for **every
-/// rule** — the exact match stream of both the whole-graph VM engine and
-/// the legacy oracle matcher, truncation included. This is the frontier
-/// soundness argument (delta index + radius-`d-1` parent closure) tested
-/// end-to-end on the paper's own examples, PolyBench kernels included.
-#[test]
-fn seminaive_equals_whole_graph_and_oracle_each_iteration() {
-    let config = RuleConfig::default();
-    // Tight enough to exercise truncation-carryover (pending classes),
-    // loose enough that real idiom matches flow.
-    let limit = 5_000;
-    for (expr, target) in paper_examples() {
-        let rules = rules_for(target, &config);
-        let oracle_rules: Vec<ARewrite> =
-            rules.iter().map(|r| r.with_oracle_searcher()).collect();
-        let mut eg = AEGraph::default();
-        let root = eg.add_expr(&expr);
-        let mut runner = Runner::new(eg)
-            .with_root(root)
-            .with_iter_limit(3)
-            .with_node_limit(30_000)
-            .with_scheduler(BackoffScheduler::new(2_000, 2));
-        let mut ds: DeltaSearch<ArrayLang> = DeltaSearch::new(rules.len());
-        for step in 0..3 {
-            let mut memo = ClosureMemo::default();
-            for (i, rule) in rules.iter().enumerate() {
-                let semi = ds.search_rule(&runner.egraph, rule, i, limit, &mut memo);
-                let whole = rule.search(&runner.egraph, limit);
-                assert_same_matches(
-                    &runner.egraph,
-                    &semi,
-                    &whole,
-                    &format!("{expr} @{target} step {step} rule {} (vs VM)", rule.name()),
-                );
-                let oracle = oracle_rules[i].search(&runner.egraph, limit);
-                assert_same_matches(
-                    &runner.egraph,
-                    &semi,
-                    &oracle,
-                    &format!("{expr} @{target} step {step} rule {} (vs oracle)", rule.name()),
-                );
-            }
-            if runner.run_one(&rules).is_err() {
-                break;
-            }
-        }
-    }
-}
-
-/// The semi-naive wall, pipeline level: for **every** evaluation kernel ×
-/// target, a semi-naive run must reproduce the whole-graph run's per-step
-/// reports (counts, applied tallies, matches), final solution and cost —
-/// while never scanning more classes than it schedules.
-#[test]
-fn seminaive_pipeline_identical_on_all_kernels() {
-    for kernel in Kernel::ALL {
-        for target in [Target::Blas, Target::Torch] {
-            let expr = kernel.expr(8);
-            let run = |seminaive: bool| {
-                Liar::new(target)
-                    .with_iter_limit(3)
-                    .with_node_limit(20_000)
-                    .with_match_limit(2_000)
-                    .with_seminaive(seminaive)
-                    .optimize(&expr)
-            };
-            let semi = run(true);
-            let whole = run(false);
-            assert_eq!(semi.stop_reason, whole.stop_reason, "{kernel} @{target}");
-            assert_eq!(semi.steps.len(), whole.steps.len(), "{kernel} @{target}");
-            for (s, w) in semi.steps.iter().zip(&whole.steps) {
-                let ctx = format!("{kernel} @{target} step {}", s.step);
-                assert_eq!(s.n_nodes, w.n_nodes, "{ctx}");
-                assert_eq!(s.n_classes, w.n_classes, "{ctx}");
-                assert_eq!(s.applied, w.applied, "{ctx}");
-                assert_eq!(s.search_candidates, w.search_candidates, "{ctx}");
-                assert_eq!(s.search_matches, w.search_matches, "{ctx}");
-                assert_eq!(s.best, w.best, "{ctx}: solution diverged");
-                assert_eq!(s.cost, w.cost, "{ctx}: cost diverged");
-                assert_eq!(s.lib_calls, w.lib_calls, "{ctx}");
-                // Work accounting: whole-graph scans everything it
-                // schedules; semi-naive never scans more.
-                assert_eq!(w.frontier_candidates, w.search_candidates, "{ctx}");
-                assert!(s.frontier_candidates <= s.search_candidates, "{ctx}");
-            }
-            let scanned: usize = semi.steps.iter().map(|s| s.frontier_candidates).sum();
-            let scheduled: usize = semi.steps.iter().map(|s| s.search_candidates).sum();
-            assert!(
-                scanned <= scheduled,
-                "{kernel} @{target}: frontier exceeded schedule"
-            );
-        }
-    }
 }
 
 /// Deterministic splitmix64 generator (same construction the kernel-data

@@ -41,7 +41,6 @@ fn assert_reports_identical(plain: &OptimizationReport, traced: &OptimizationRep
         assert_eq!(a.n_nodes, b.n_nodes, "{ctx}: step {step} e-nodes");
         assert_eq!(a.n_classes, b.n_classes, "{ctx}: step {step} classes");
         assert_eq!(a.search_candidates, b.search_candidates, "{ctx}: step {step} candidates");
-        assert_eq!(a.frontier_candidates, b.frontier_candidates, "{ctx}: step {step} frontier");
         assert_eq!(a.search_matches, b.search_matches, "{ctx}: step {step} matches");
         assert_eq!(a.applied, b.applied, "{ctx}: step {step} rule applications");
         assert_eq!(a.best, b.best, "{ctx}: step {step} solution");
@@ -151,7 +150,6 @@ fn assert_multi_semantically_identical(a: &MultiReport, b: &MultiReport, ctx: &s
         assert_eq!(s.n_nodes, p.n_nodes, "{ctx}: step {step} e-nodes");
         assert_eq!(s.n_classes, p.n_classes, "{ctx}: step {step} classes");
         assert_eq!(s.search_candidates, p.search_candidates, "{ctx}: step {step} candidates");
-        assert_eq!(s.frontier_candidates, p.frontier_candidates, "{ctx}: step {step} frontier");
         assert_eq!(s.search_matches, p.search_matches, "{ctx}: step {step} matches");
     }
     // Solutions carry the proofs; compare everything except
