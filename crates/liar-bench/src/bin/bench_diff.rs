@@ -16,7 +16,8 @@
 //! * `--out <FILE>`         — write the machine-readable verdict here
 //! * `--bench <NAME>`       — restrict to one bench (repeatable)
 //! * `--time-ratio <X>`     — time growth budget (default 1.5)
-//! * `--time-floor-ms <X>`  — absolute noise floor, ms (default 2.0)
+//! * `--time-floor-ms <X>`  — absolute noise floor, ms (default 2.0); a
+//!   speedup is judged only when its row times something at or above it
 //! * `--ratio-slack <X>`    — overhead additive budget (default 0.25)
 //!
 //! A baseline that has no current counterpart (the bench didn't run) is

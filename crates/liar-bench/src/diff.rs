@@ -6,9 +6,10 @@
 //! ([`policy_for`]): wall-clock metrics may only grow so much
 //! (`*_s`/`*_ms`, ratio + absolute-floor thresholds so nanobenchmark
 //! noise never trips the gate), overhead ratios may only drift up by an
-//! additive slack, speedups may only shrink so much, `gate_*` booleans
-//! must hold, and `solution` strings — the semantic output of the
-//! optimizer — must match exactly. Everything else (candidate counts,
+//! additive slack, speedups may only shrink so much (when their row times
+//! something above the noise floor), `gate_*` booleans must hold, and
+//! `solution` strings — the semantic output of the optimizer — must match
+//! exactly. Everything else (candidate counts,
 //! node counts, costs within tolerance) is reported as drift but never
 //! fails the gate.
 //!
@@ -30,7 +31,9 @@ pub enum Policy {
     /// current value exceeds `baseline + ratio_slack`.
     RatioLowerBetter,
     /// A speedup (`*speedup*`): regression when the current value drops
-    /// below `baseline ÷ time_ratio`.
+    /// below `baseline ÷ time_ratio`, judged only when the largest
+    /// baseline timing in its row is at or above the time floor (a ratio
+    /// of two timings under the floor is noise over noise).
     HigherBetter,
     /// A `gate_*` boolean: regression whenever it is `false` in the
     /// current document (the gate itself already encodes its tolerance).
@@ -50,7 +53,8 @@ pub struct Thresholds {
     pub time_ratio: f64,
     /// Absolute growth floor for times, in **seconds** (`*_ms` leaves
     /// use `1000 ×` this). Growth below the floor never fails, however
-    /// large the ratio — sub-millisecond benches are noise-dominated.
+    /// large the ratio — sub-millisecond benches are noise-dominated —
+    /// and a speedup whose row times nothing above it is not judged.
     pub time_floor_s: f64,
     /// Additive budget for overhead ratios. Default 0.25: an overhead
     /// of 1.05 may drift to 1.30 before failing.
@@ -157,8 +161,26 @@ fn render(j: &Json) -> String {
 /// baseline. `bench` labels the findings (e.g. `"serve"`).
 pub fn diff_docs(bench: &str, baseline: &Json, current: &Json, th: &Thresholds) -> DiffReport {
     let mut report = DiffReport::default();
-    walk(bench, "", None, baseline, current, th, &mut report);
+    let leaf = Leaf { key: None, row_time_s: 0.0 };
+    walk(bench, "", leaf, baseline, current, th, &mut report);
     report
+}
+
+/// Where a value sits: its object key, and the largest baseline timing
+/// among the leaves of the object holding it, in seconds.
+#[derive(Clone, Copy)]
+struct Leaf<'a> {
+    key: Option<&'a str>,
+    row_time_s: f64,
+}
+
+/// The largest `*_s` / `*_ms` number among an object's leaves, in seconds.
+fn largest_time_s(pairs: &[(String, Json)]) -> f64 {
+    pairs
+        .iter()
+        .filter(|(k, _)| policy_for(k) == Policy::TimeLowerBetter)
+        .filter_map(|(k, v)| Some(v.as_f64()? / if k.ends_with("_ms") { 1000.0 } else { 1.0 }))
+        .fold(0.0, f64::max)
 }
 
 fn push(
@@ -188,18 +210,21 @@ fn push(
 fn walk(
     bench: &str,
     path: &str,
-    key: Option<&str>,
+    leaf: Leaf<'_>,
     baseline: &Json,
     current: &Json,
     th: &Thresholds,
     report: &mut DiffReport,
 ) {
+    let key = leaf.key;
     match (baseline, current) {
         (Json::Obj(pairs), Json::Obj(_)) => {
+            let row_time_s = largest_time_s(pairs);
             for (k, base_v) in pairs {
                 let child = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
+                let leaf = Leaf { key: Some(k), row_time_s };
                 match current.get(k) {
-                    Some(cur_v) => walk(bench, &child, Some(k), base_v, cur_v, th, report),
+                    Some(cur_v) => walk(bench, &child, leaf, base_v, cur_v, th, report),
                     None => push(
                         report,
                         bench,
@@ -214,6 +239,7 @@ fn walk(
             // Keys only in `current` are new metrics — fine.
         }
         (Json::Arr(base_items), Json::Arr(cur_items)) => {
+            let row = Leaf { key: None, ..leaf };
             let by_identity = base_items.iter().all(|i| identity(i).is_some())
                 && cur_items.iter().all(|i| identity(i).is_some());
             if by_identity {
@@ -221,7 +247,7 @@ fn walk(
                     let id = identity(base_item).unwrap();
                     let child = format!("{path}[{id}]");
                     match cur_items.iter().find(|c| identity(c).as_deref() == Some(&id)) {
-                        Some(cur_item) => walk(bench, &child, None, base_item, cur_item, th, report),
+                        Some(cur_item) => walk(bench, &child, row, base_item, cur_item, th, report),
                         None => push(
                             report,
                             bench,
@@ -237,7 +263,7 @@ fn walk(
                 for (i, base_item) in base_items.iter().enumerate() {
                     let child = format!("{path}[{i}]");
                     match cur_items.get(i) {
-                        Some(cur_item) => walk(bench, &child, None, base_item, cur_item, th, report),
+                        Some(cur_item) => walk(bench, &child, row, base_item, cur_item, th, report),
                         None => push(
                             report,
                             bench,
@@ -253,7 +279,7 @@ fn walk(
         }
         (Json::Num(b), Json::Num(c)) => {
             report.compared += 1;
-            judge_number(bench, path, key, *b, *c, th, report);
+            judge_number(bench, path, leaf, *b, *c, th, report);
         }
         (Json::Str(b), Json::Str(c)) => {
             report.compared += 1;
@@ -306,13 +332,13 @@ fn walk(
 fn judge_number(
     bench: &str,
     path: &str,
-    key: Option<&str>,
+    leaf: Leaf<'_>,
     b: f64,
     c: f64,
     th: &Thresholds,
     report: &mut DiffReport,
 ) {
-    let key = key.unwrap_or("");
+    let key = leaf.key.unwrap_or("");
     let policy = policy_for(key);
     let (regression, note) = match policy {
         Policy::TimeLowerBetter => {
@@ -337,12 +363,17 @@ fn judge_number(
             }
         }
         Policy::HigherBetter => {
-            if b > 0.0 && c < b / th.time_ratio {
+            let judged = leaf.row_time_s >= th.time_floor_s;
+            let change = (c / b - 1.0) * 100.0;
+            if judged && b > 0.0 && c < b / th.time_ratio {
                 (true, format!("shrank to {:.2}x of baseline", c / b))
-            } else if c != b {
-                (false, format!("{:+.1}% within budget", (c / b - 1.0) * 100.0))
-            } else {
+            } else if c == b {
                 return;
+            } else if judged {
+                (false, format!("{change:+.1}% within budget"))
+            } else {
+                let floor_ms = th.time_floor_s * 1000.0;
+                (false, format!("{change:+.1}%, not judged: row under the {floor_ms} ms floor"))
             }
         }
         // Gates and solutions are booleans/strings; a number under
@@ -484,6 +515,39 @@ mod tests {
         .unwrap();
         let report = diff_docs("serve", &base, &cur, &Thresholds::default());
         assert_eq!(report.regressions.len(), 2, "{:?}", report.regressions);
+    }
+
+    /// CI's cross-machine flags: `--time-ratio 4 --time-floor-ms 10`.
+    fn ci_thresholds() -> Thresholds {
+        Thresholds {
+            time_ratio: 4.0,
+            time_floor_s: 0.010,
+            ..Thresholds::default()
+        }
+    }
+
+    #[test]
+    fn speedup_of_sub_floor_timings_is_not_judged() {
+        // vsum: every timing in the row is under 10 ms, so a 5x drop of
+        // its ratios is drift.
+        let base = parse(BASE).unwrap();
+        let cur = BASE.replace("\"cache_hit_speedup\": 16.0", "\"cache_hit_speedup\": 3.2");
+        let cur = parse(&cur).unwrap();
+        let report = diff_docs("serve", &base, &cur, &ci_thresholds());
+        assert!(report.pass(), "{:?}", report.regressions);
+        assert_eq!(report.drift.len(), 1);
+        assert!(report.drift[0].note.contains("not judged"), "{}", report.drift[0].note);
+    }
+
+    #[test]
+    fn speedup_of_timed_row_is_still_judged() {
+        // An mvt-like row: cold 300 ms, so a 5x speedup drop fails.
+        let base = parse(BASE).unwrap();
+        let cur = BASE.replace("\"cache_hit_speedup\": 500.0", "\"cache_hit_speedup\": 100.0");
+        let cur = parse(&cur).unwrap();
+        let report = diff_docs("serve", &base, &cur, &ci_thresholds());
+        let paths: Vec<&str> = report.regressions.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, ["kernels[gemv].cache_hit_speedup"]);
     }
 
     #[test]

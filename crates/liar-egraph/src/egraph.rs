@@ -9,7 +9,7 @@ use crate::attribution::Attribution;
 use crate::explain::{Explain, Explanation, Justification};
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
-use crate::{Analysis, Id, Language, RecExpr};
+use crate::{Analysis, FxHashMap, Id, Language, RecExpr};
 
 /// An equivalence class of e-nodes.
 #[derive(Debug, Clone)]
@@ -54,15 +54,18 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     /// The analysis instance (may carry configuration).
     pub analysis: A,
     unionfind: UnionFind,
+    /// The hash-cons table. Its keys carry symbol names from requests, so
+    /// it keeps std's keyed hasher; the id-keyed tables below use
+    /// [`FxHashMap`].
     memo: HashMap<L, Id>,
-    classes: HashMap<Id, EClass<L, A::Data>>,
+    classes: FxHashMap<Id, EClass<L, A::Data>>,
     /// The operator index: [`Language::op_key`] → ascending ids of the
     /// classes containing at least one e-node with that operator. Kept
     /// incrementally by [`add`](EGraph::add) and recomputed wholesale at
     /// the end of every [`rebuild`](EGraph::rebuild); exact whenever the
     /// e-graph is clean. Compiled patterns use it to visit only the
     /// classes whose members can possibly match their root operator.
-    classes_by_op: HashMap<u64, Vec<Id>>,
+    classes_by_op: FxHashMap<u64, Vec<Id>>,
     /// Completed [`rebuild`](EGraph::rebuild)s (see
     /// [`rebuilds`](EGraph::rebuilds)).
     rebuilds: u64,
@@ -111,8 +114,8 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             analysis,
             unionfind: UnionFind::default(),
             memo: HashMap::new(),
-            classes: HashMap::new(),
-            classes_by_op: HashMap::new(),
+            classes: FxHashMap::default(),
+            classes_by_op: FxHashMap::default(),
             rebuilds: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
@@ -234,7 +237,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     }
 
     /// The class table (for snapshot serialization).
-    pub(crate) fn snapshot_classes(&self) -> &HashMap<Id, EClass<L, A::Data>> {
+    pub(crate) fn snapshot_classes(&self) -> &FxHashMap<Id, EClass<L, A::Data>> {
         &self.classes
     }
 
@@ -258,10 +261,10 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         analysis: A,
         unionfind: UnionFind,
         memo: HashMap<L, Id>,
-        classes: HashMap<Id, EClass<L, A::Data>>,
+        classes: FxHashMap<Id, EClass<L, A::Data>>,
         explain: Option<Explain<L>>,
     ) -> Self {
-        let mut classes_by_op: HashMap<u64, Vec<Id>> = HashMap::new();
+        let mut classes_by_op: FxHashMap<u64, Vec<Id>> = FxHashMap::default();
         let mut ids: Vec<Id> = classes.keys().copied().collect();
         ids.sort();
         for id in ids {

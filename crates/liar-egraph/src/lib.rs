@@ -75,6 +75,7 @@ mod dot;
 mod egraph;
 pub mod explain;
 mod extract;
+mod fx;
 mod id;
 mod language;
 pub mod machine;
@@ -95,6 +96,7 @@ pub use extract::{
     AstDepth, AstSize, CostFunction, DagExtractor, ExactBudget, ExactExtractor, ExactOutcome,
     ExactReport, Extract, ExtractError, ExtractionStats, Extractor, FlatGraph,
 };
+pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use id::Id;
 pub use language::{Language, RecExpr, RecExprParseError};
 pub use machine::OraclePattern;

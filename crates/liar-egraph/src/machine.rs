@@ -45,11 +45,10 @@
 //! [operator index](crate::EGraph::classes_with_op) instead of scanning
 //! every e-class.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::pattern::{Binding, Pattern, PatternNode, Subst, Var};
-use crate::{Analysis, EGraph, Id, Language, RecExpr};
+use crate::{Analysis, EGraph, FxHashSet, Id, Language, RecExpr};
 
 /// Expression-slot bank: one optional downshifted term per shift-bound
 /// variable.
@@ -212,7 +211,7 @@ impl<L: Language> Program<L> {
         let mut regs = vec![Id::from_index(0); self.n_regs];
         let mut exprs: ExprSlots<L> = vec![None; self.n_exprs];
         regs[0] = egraph.find(class);
-        let mut seen: HashSet<Vec<CanonBinding<L>>> = HashSet::new();
+        let mut seen: FxHashSet<Vec<CanonBinding<L>>> = FxHashSet::default();
         let mut out: Vec<Subst<L>> = Vec::new();
         self.exec(egraph, &mut regs, &mut exprs, 0, &mut |regs, exprs| {
             let key: Vec<CanonBinding<L>> = self

@@ -514,6 +514,11 @@ fn parse_shift_op(op: &str) -> Option<u32> {
     op.strip_prefix("sh").and_then(|k| k.parse().ok())
 }
 
+/// The largest shift a pattern may carry. Analyses test the indices below
+/// `k` in a 64-bit mask of free De Bruijn indices (LIAR's `VarSet` panics
+/// beyond it), so a larger shift could never match.
+const MAX_SHIFT: u32 = 63;
+
 impl<L: Language> FromStr for Pattern<L> {
     type Err = PatternParseError;
 
@@ -536,6 +541,9 @@ impl<L: Language> FromStr for Pattern<L> {
                 return Ok(Id::from_index(nodes.len() - 1));
             }
             if let Some(k) = parse_shift_op(op) {
+                if k > MAX_SHIFT {
+                    return Err(format!("(sh{k} ...) shifts by more than {MAX_SHIFT}"));
+                }
                 if children.len() == 1 {
                     if let PatternNode::Var(v) = nodes[children[0].index()].clone() {
                         nodes.pop();
@@ -605,6 +613,15 @@ mod tests {
             .nodes()
             .iter()
             .all(|n| !matches!(n, PatternNode::Shifted(..))));
+    }
+
+    #[test]
+    fn shifts_beyond_63_are_rejected() {
+        let p: Pattern<SymbolLang> = "(get (sh63 ?a) %0)".parse().unwrap();
+        assert_eq!(p.to_string(), "(get (sh63 ?a) %0)");
+        let err = "(get (sh64 ?a) %0)".parse::<Pattern<SymbolLang>>().unwrap_err();
+        assert!(err.0.contains("sh64"), "{err}");
+        assert!("(sh4294967295 ?a)".parse::<Pattern<SymbolLang>>().is_err());
     }
 
     #[test]

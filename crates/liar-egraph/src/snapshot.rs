@@ -65,7 +65,7 @@ use std::sync::Arc;
 use crate::explain::{Explain, Justification};
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
-use crate::{EClass, EGraph, Id, Language};
+use crate::{EClass, EGraph, FxHashMap, Id, Language};
 
 /// The 8-byte magic prefix of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LIARSNAP";
@@ -571,7 +571,8 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         if n_classes > n_ids {
             return Err(r.corrupt(format!("{n_classes} classes but only {n_ids} ids")));
         }
-        let mut classes: HashMap<Id, EClass<L, A::Data>> = HashMap::with_capacity(n_classes);
+        let mut classes: FxHashMap<Id, EClass<L, A::Data>> =
+            FxHashMap::with_capacity_and_hasher(n_classes.min(1 << 20), Default::default());
         let mut prev: Option<Id> = None;
         for _ in 0..n_classes {
             let id = r.read_id(n_ids)?;

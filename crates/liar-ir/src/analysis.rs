@@ -13,13 +13,12 @@
 //! * the **extent** when the class is a `#n` leaf (read by cost models);
 //! * the **constant** when the class contains a float literal.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use liar_egraph::{
-    Analysis, DidMerge, EGraph, Id, Language, SnapshotAnalysis, SnapshotError, SnapshotReader,
-    SnapshotWriter,
+    Analysis, DidMerge, EGraph, FxHashMap, Id, Language, SnapshotAnalysis, SnapshotError,
+    SnapshotReader, SnapshotWriter,
 };
 
 use crate::debruijn::{self, VarSet};
@@ -202,18 +201,27 @@ pub fn node_extent(
 
 /// The standard analysis for [`ArrayLang`] e-graphs.
 ///
-/// Carries a downshift cache: pattern matching may ask for the same
-/// `(class, k)` downshift many times within one (read-only) search phase;
-/// the cache is invalidated whenever the e-graph changes. The cache sits
-/// behind a `Mutex` (not a `RefCell`) so concurrent search workers can
-/// share hits across threads.
+/// Carries a downshift cache that lives for one search phase: shift
+/// patterns ask for the same `(class, k)` downshift of an open class many
+/// times while the e-graph is read-only, and each is computed once, on the
+/// first ask, and shared as an `Arc` by every later match. Any add or union
+/// clears it. It sits behind a `Mutex` (not a `RefCell`) so concurrent
+/// search workers share hits across threads.
 #[derive(Debug, Default)]
 pub struct ArrayAnalysis {
-    downshift_cache: Mutex<HashMap<(Id, u32), Downshifted>>,
+    downshift_cache: Mutex<FxHashMap<(Id, u32), Downshifted>>,
 }
 
 /// A cached downshift: the shared term, or `None` when no member permits it.
 type Downshifted = Option<Arc<Expr>>;
+
+impl ArrayAnalysis {
+    /// The downshift cache. Entries are inserted whole, so a worker that
+    /// panicked while holding the lock left it valid.
+    fn lock_cache(&self) -> MutexGuard<'_, FxHashMap<(Id, u32), Downshifted>> {
+        self.downshift_cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 impl Analysis<ArrayLang> for ArrayAnalysis {
     type Data = ClassData;
@@ -294,8 +302,14 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
 
     fn modify(egraph: &mut EGraph<ArrayLang, Self>, _id: Id) {
         // The e-graph changed: cached downshifts may be stale (a class
-        // may now have a *better* member, and ids may have moved).
-        egraph.analysis.downshift_cache.lock().unwrap().clear();
+        // may now have a *better* member, and ids may have moved). The
+        // `&mut` borrow means no search holds the lock.
+        egraph
+            .analysis
+            .downshift_cache
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     fn downshift(egraph: &EGraph<ArrayLang, Self>, id: Id, k: u32) -> Option<Arc<Expr>> {
@@ -306,29 +320,24 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         if k == 0 || data.repr_free.is_empty() {
             return Some(Arc::clone(data.repr.expr()));
         }
-        // Fast path: the stored representative already avoids the low
-        // indices (the overwhelmingly common case).
-        if data.repr_free.none_below(k) {
-            let down = debruijn::try_shift_down(data.repr.expr(), k);
-            debug_assert!(down.is_some(), "repr_free out of sync with repr");
-            return down.map(Arc::new);
-        }
-        if let Some(cached) = egraph.analysis.downshift_cache.lock().unwrap().get(&(id, k)) {
+        if let Some(cached) = egraph.analysis.lock_cache().get(&(id, k)) {
             return cached.clone();
         }
-        let mut finder = ShiftableFinder::new(egraph);
-        let mask = (1u64 << k) - 1;
-        let down = finder.find(id, mask).map(|found| {
-            let down = debruijn::try_shift_down(&found, k);
-            debug_assert!(down.is_some(), "finder returned non-shiftable term");
-            Arc::new(down.expect("checked"))
-        });
-        egraph
-            .analysis
-            .downshift_cache
-            .lock()
-            .unwrap()
-            .insert((id, k), down.clone());
+        let down = if data.repr_free.none_below(k) {
+            // Fast path: the stored representative already avoids the low
+            // indices (the overwhelmingly common case).
+            let down = debruijn::try_shift_down(data.repr.expr(), k);
+            debug_assert!(down.is_some(), "repr_free out of sync with repr");
+            down.map(Arc::new)
+        } else {
+            let mask = (1u64 << k) - 1;
+            ShiftableFinder::new(egraph).find(id, mask).map(|found| {
+                let down = debruijn::try_shift_down(&found, k);
+                debug_assert!(down.is_some(), "finder returned non-shiftable term");
+                Arc::new(down.expect("checked"))
+            })
+        };
+        egraph.analysis.lock_cache().insert((id, k), down.clone());
         down
     }
 
@@ -395,7 +404,7 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
 /// with no free index `< k`.
 struct ShiftableFinder<'a> {
     egraph: &'a EGraph<ArrayLang, ArrayAnalysis>,
-    memo: HashMap<(Id, u64), Option<Arc<Expr>>>,
+    memo: FxHashMap<(Id, u64), Option<Arc<Expr>>>,
     visiting: Vec<(Id, u64)>,
 }
 
@@ -403,7 +412,7 @@ impl<'a> ShiftableFinder<'a> {
     fn new(egraph: &'a EGraph<ArrayLang, ArrayAnalysis>) -> Self {
         ShiftableFinder {
             egraph,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
             visiting: Vec::new(),
         }
     }
@@ -551,6 +560,26 @@ mod tests {
         assert!(!Arc::ptr_eq(&down, eg.data(id).repr.expr()));
         // …but downshift by 3 is not.
         assert_eq!(ArrayAnalysis::downshift(&eg, id, 3), None);
+    }
+
+    #[test]
+    fn downshift_is_computed_once_per_search() {
+        let mut eg = ArrayEGraph::default();
+        // A parent keeps `(get xs %1)` the canonical id when it absorbs
+        // `%1` below, so a stale cache entry would still be found.
+        eg.add_expr(&e("(fst (get xs %1))"));
+        let id = eg.lookup_expr(&e("(get xs %1)")).unwrap();
+        // The fast path's shifted term is cached: a second match shares it.
+        let first = ArrayAnalysis::downshift(&eg, id, 1).unwrap();
+        assert_eq!(*first, e("(get xs %0)"));
+        assert!(Arc::ptr_eq(&first, &ArrayAnalysis::downshift(&eg, id, 1).unwrap()));
+        // A union gives the class a smaller open member; the next search
+        // sees it, not the cached term.
+        let var = eg.lookup_expr(&e("%1")).unwrap();
+        eg.union(id, var);
+        eg.rebuild();
+        assert_eq!(eg.find(id), id);
+        assert_eq!(*ArrayAnalysis::downshift(&eg, id, 1).unwrap(), e("%0"));
     }
 
     #[test]

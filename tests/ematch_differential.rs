@@ -17,7 +17,7 @@ use liar::kernels::Kernel;
 type AEGraph = ArrayEGraph;
 type ARewrite = Rewrite<ArrayLang, ArrayAnalysis>;
 
-/// The worked examples the paper walks through, plus two real kernels.
+/// The worked examples the paper walks through, plus four real kernels.
 fn paper_examples() -> Vec<(Expr, Target)> {
     vec![
         // §V.A latent dot product in vector sum.
@@ -39,6 +39,10 @@ fn paper_examples() -> Vec<(Expr, Target)> {
         // A matrix kernel exercising sh1/sh2 shift patterns heavily.
         (Kernel::Atax.expr(8), Target::Blas),
         (Kernel::Mvt.expr(8), Target::Torch),
+        // The shift-heavy torch idioms (transpose, lifted add) that
+        // dominate search time.
+        (Kernel::Gemm.expr(8), Target::Torch),
+        (Kernel::Jacobi1d.expr(8), Target::Torch),
     ]
 }
 

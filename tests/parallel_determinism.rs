@@ -63,16 +63,25 @@ fn paper_examples_identical_across_thread_counts() {
 
 #[test]
 fn polybench_kernel_identical_at_four_threads() {
-    // One real polybench kernel end to end (atax exercises matrix idioms,
-    // transposes and the heaviest rule load of the fast kernels).
-    let expr = Kernel::Atax.expr(8);
-    let serial = optimize(&expr, Target::Blas, 1);
-    let parallel = optimize(&expr, Target::Blas, 4);
-    assert_reports_identical(&serial, &parallel);
-    assert_eq!(
-        serial.best().solution_summary(),
-        parallel.best().solution_summary()
-    );
+    // Real polybench kernels end to end: atax exercises matrix idioms,
+    // transposes and the heaviest rule load of the fast kernels; gemm and
+    // jacobi1d on torch run the shift-heavy idioms whose downshifts the
+    // four workers share through the analysis cache.
+    for (kernel, target) in [
+        (Kernel::Atax, Target::Blas),
+        (Kernel::Gemm, Target::Torch),
+        (Kernel::Jacobi1d, Target::Torch),
+    ] {
+        let expr = kernel.expr(8);
+        let serial = optimize(&expr, target, 1);
+        let parallel = optimize(&expr, target, 4);
+        assert_reports_identical(&serial, &parallel);
+        assert_eq!(
+            serial.best().solution_summary(),
+            parallel.best().solution_summary(),
+            "{kernel} @{target}"
+        );
+    }
 }
 
 /// The backoff scheduler's ban decisions depend only on per-rule match
