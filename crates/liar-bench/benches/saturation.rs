@@ -1,66 +1,16 @@
-//! Benchmarks for the saturation experiments (tables II–III, fig. 4): how
-//! long LIAR takes to find each kernel's solution, and how much the
-//! parallel search phase helps.
+//! How much the parallel search phase helps: search-phase time of the
+//! same saturation at 1, 2 and 4 threads, with the solutions checked
+//! equal. (Tables II–III and fig. 4 come from the `tables` and `figures`
+//! binaries.)
 //!
-//! Run with `cargo bench --bench saturation`. Plain `main` + the in-crate
-//! [`liar_bench::timing`] harness (no criterion; the workspace builds
-//! offline).
+//! Run with `cargo bench --bench saturation`. A plain `main` (no
+//! criterion; the workspace builds offline).
 
-use liar_bench::{harness, timing};
+use liar_bench::harness;
 use liar_core::{Liar, Target};
 use liar_kernels::Kernel;
 
-/// Kernels representative of each structural family, to keep `cargo bench`
-/// fast while covering the table rows (the `tables` binary runs all 16).
-const REPRESENTATIVES: [Kernel; 5] = [
-    Kernel::Vsum,
-    Kernel::Axpy,
-    Kernel::Gemv,
-    Kernel::Atax,
-    Kernel::Memset,
-];
-
 const SAMPLES: usize = 3;
-
-fn bench_table2_blas() {
-    println!("\n== table2_blas_saturation ==");
-    for kernel in REPRESENTATIVES {
-        timing::bench_and_report(format!("table2_blas/{}", kernel.name()), SAMPLES, || {
-            let report = harness::optimize_kernel(kernel, Target::Blas);
-            assert!(!report.steps.is_empty());
-            report.best().cost
-        });
-    }
-}
-
-fn bench_table3_torch() {
-    println!("\n== table3_pytorch_saturation ==");
-    for kernel in REPRESENTATIVES {
-        timing::bench_and_report(format!("table3_torch/{}", kernel.name()), SAMPLES, || {
-            harness::optimize_kernel(kernel, Target::Torch).best().cost
-        });
-    }
-}
-
-/// Fig. 4's per-step work: one saturation step on the gemv kernel.
-fn bench_fig4_step() {
-    use liar_core::rules::{rules_for, RuleConfig};
-    use liar_egraph::Runner;
-    use liar_ir::ArrayEGraph;
-
-    println!("\n== fig4_gemv_steps ==");
-    let expr = Kernel::Gemv.expr(Kernel::Gemv.search_size());
-    let rules = rules_for(Target::Blas, &RuleConfig::default());
-    for steps in [1usize, 3, 5] {
-        timing::bench_and_report(format!("fig4_gemv_steps/{steps}"), SAMPLES, || {
-            let mut eg = ArrayEGraph::default();
-            let root = eg.add_expr(&expr);
-            let mut runner = Runner::new(eg).with_root(root).with_iter_limit(steps);
-            runner.run(&rules);
-            runner.egraph.num_nodes()
-        });
-    }
-}
 
 /// Serial vs. parallel e-matching: the same saturation run at 1/2/4
 /// threads, comparing total *search-phase* time (the part
@@ -116,8 +66,5 @@ fn bench_parallel_search() {
 }
 
 fn main() {
-    bench_table2_blas();
-    bench_table3_torch();
-    bench_fig4_step();
     bench_parallel_search();
 }

@@ -3,12 +3,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use liar_egraph::{
-    BackoffScheduler, DagExtractor, ExtractionStats, Extractor, Runner, RunnerLimits, StopReason,
+    BackoffScheduler, DagExtractor, ExtractionStats, Extractor, Id, Iteration, Runner,
+    RunnerLimits, StopReason,
 };
-use liar_ir::{ArrayAnalysis, ArrayEGraph, ArrayExplanation, Expr};
+use liar_ir::{ArrayAnalysis, ArrayEGraph, ArrayExplanation, ArrayLang, ArrayRewrite, Expr};
 use liar_trace::{FlightKind, FlightRecorder, Recorder, TraceSink};
 
 use crate::cache::SaturationCache;
@@ -16,7 +17,7 @@ use crate::cost::TargetCost;
 use crate::fingerprint::{request_fingerprint, BudgetKnobs, Fingerprint};
 use crate::inspect::InspectReport;
 use crate::profile::MachineProfile;
-use crate::rules::{rules_for, rules_for_targets, RuleConfig, Target};
+use crate::rules::{rules_for_targets, RuleConfig, Target};
 use crate::store::SnapshotStore;
 
 /// A multi-target optimization request failed: one of the requested
@@ -90,17 +91,10 @@ pub struct StepReport {
 }
 
 impl StepReport {
-    /// Format the library calls like the paper's tables: `2 × gemv + 1 ×
-    /// memset`, or `—` when the solution calls no library.
+    /// The library calls in the paper's table format (see
+    /// [`lib_call_summary`]).
     pub fn solution_summary(&self) -> String {
-        if self.lib_calls.is_empty() {
-            return "—".to_string();
-        }
-        self.lib_calls
-            .iter()
-            .map(|(name, count)| format!("{count} × {name}"))
-            .collect::<Vec<_>>()
-            .join(" + ")
+        lib_call_summary(&self.lib_calls)
     }
 }
 
@@ -219,17 +213,10 @@ pub struct MultiSolution {
 }
 
 impl MultiSolution {
-    /// Format the library calls like the paper's tables (see
-    /// [`StepReport::solution_summary`]).
+    /// The library calls in the paper's table format (see
+    /// [`lib_call_summary`]).
     pub fn solution_summary(&self) -> String {
-        if self.lib_calls.is_empty() {
-            return "—".to_string();
-        }
-        self.lib_calls
-            .iter()
-            .map(|(name, count)| format!("{count} × {name}"))
-            .collect::<Vec<_>>()
-            .join(" + ")
+        lib_call_summary(&self.lib_calls)
     }
 
     /// How much cheaper the DAG accounting is than the tree accounting,
@@ -341,6 +328,16 @@ pub fn count_lib_calls(expr: &Expr) -> BTreeMap<String, usize> {
         }
     }
     counts
+}
+
+/// Format library-call counts like the paper's tables: `2 × gemv + 1 ×
+/// memset`, or `—` when the solution calls no library.
+pub fn lib_call_summary(calls: &BTreeMap<String, usize>) -> String {
+    if calls.is_empty() {
+        return "—".to_string();
+    }
+    let terms: Vec<String> = calls.iter().map(|(name, n)| format!("{n} × {name}")).collect();
+    terms.join(" + ")
 }
 
 /// The LIAR pipeline for one target (paper fig. 2): rules = language
@@ -538,10 +535,10 @@ impl Liar {
     }
 
     /// Attach a trace recorder ([`liar_trace::Recorder`]): every pipeline
-    /// mode emits hierarchical spans (`saturate`, `extract/<target>`,
-    /// `snapshot/save`, `explain/<target>`, …) plus the per-step
-    /// saturation spans the underlying [`Runner`] records (see
-    /// [`liar_egraph::Runner::with_trace`] for the span taxonomy;
+    /// call emits hierarchical spans (`saturate`, `extract/<target>`,
+    /// `snapshot/save`, `explain/<target>`, …) on one `pipeline` lane,
+    /// with the per-step spans of the underlying [`Runner`] nested under
+    /// `saturate` (see [`liar_egraph::Runner::with_trace`] for those;
     /// `docs/OBSERVABILITY.md` for the full catalogue).
     ///
     /// Tracing is strictly observational: reports, solutions and proofs
@@ -599,11 +596,11 @@ impl Liar {
         self.flight.as_ref()
     }
 
-    /// A sink on the attached recorder's `lane` — inert when no recorder
-    /// is attached.
-    fn sink(&self, lane: &str) -> TraceSink {
+    /// The one trace lane of a pipeline call — inert when no recorder is
+    /// attached.
+    fn sink(&self) -> TraceSink {
         match &self.trace {
-            Some(rec) => TraceSink::attached(rec, lane),
+            Some(rec) => TraceSink::attached(rec, "pipeline"),
             None => TraceSink::off(),
         }
     }
@@ -645,33 +642,53 @@ impl Liar {
         )
     }
 
-    /// The saturation runner every pipeline mode shares: same scheduler,
-    /// limits, thread count and observers whether one target's rules or a
-    /// union ruleset will be run over it.
-    fn runner_for(&self, expr: &Expr) -> (Runner<liar_ir::ArrayLang, liar_ir::ArrayAnalysis>, liar_egraph::Id) {
-        let mut egraph = if self.explain {
-            ArrayEGraph::default().with_explanations_enabled()
-        } else {
-            ArrayEGraph::default()
-        };
+    /// The one saturation loop every pipeline mode runs (paper fig. 2): add
+    /// `expr` to a fresh e-graph, open the `saturate` span and run `rules`
+    /// to a stop, calling `hook` with the e-graph, its root and the step's
+    /// [`Iteration`] before the first step (an all-zero step 0) and after
+    /// every step. The runner records on `sink` until the loop stops, so
+    /// its spans and the hook's nest under `saturate` on the call's lane.
+    fn saturate(
+        &self,
+        expr: &Expr,
+        rules: &[ArrayRewrite],
+        sink: &mut TraceSink,
+        mut hook: impl FnMut(&ArrayEGraph, Id, &Iteration, &mut TraceSink),
+    ) -> (Runner<ArrayLang, ArrayAnalysis>, Id, StopReason) {
+        let mut egraph = ArrayEGraph::default();
+        if self.explain {
+            egraph = egraph.with_explanations_enabled();
+        }
         if self.attribution {
             egraph = egraph.with_attribution_enabled();
         }
         let root = egraph.add_expr(expr);
-        let runner = Runner::new(egraph)
+        let mut runner = Runner::new(egraph)
             .with_root(root)
             .with_limits(self.limits.clone())
             .with_scheduler(self.scheduler())
-            .with_threads(self.threads);
-        let runner = match &self.flight {
-            Some(flight) => runner.with_flight(Arc::clone(flight)),
-            None => runner,
+            .with_threads(self.threads)
+            .with_trace(std::mem::replace(sink, TraceSink::off()));
+        if let Some(flight) = &self.flight {
+            runner = runner.with_flight(Arc::clone(flight));
+        }
+        let span = runner.trace.begin("saturate");
+        hook(&runner.egraph, root, &Iteration::default(), &mut runner.trace);
+        let stop_reason = loop {
+            if let Err(reason) = runner.run_one(rules) {
+                break reason;
+            }
+            let iteration = runner.iterations.last().expect("a step just ran");
+            hook(&runner.egraph, root, iteration, &mut runner.trace);
         };
-        let runner = match &self.trace {
-            Some(rec) => runner.with_trace(rec),
-            None => runner,
-        };
-        (runner, root)
+        let counts = [
+            ("steps", runner.iterations.len() as f64),
+            ("nodes", runner.egraph.num_nodes() as f64),
+            ("classes", runner.egraph.num_classes() as f64),
+        ];
+        runner.trace.end_with(span, &counts);
+        *sink = std::mem::replace(&mut runner.trace, TraceSink::off());
+        (runner, root, stop_reason)
     }
 
     /// The scheduler every pipeline mode uses.
@@ -688,7 +705,7 @@ impl Liar {
     /// Run the full workflow on `expr`, extracting the best expression
     /// after every saturation step.
     pub fn optimize(&self, expr: &Expr) -> OptimizationReport {
-        self.optimize_with_runner(expr).0
+        self.optimize_with_egraph(expr).0
     }
 
     /// Run the full workflow **with proof production**: the pipeline's
@@ -699,10 +716,8 @@ impl Liar {
     /// [`crate::rules::rules_for`]`(target, config)`.
     pub fn optimize_explained(&self, expr: &Expr) -> (OptimizationReport, ArrayExplanation) {
         let explained = self.clone().with_explanations(true);
-        let (report, mut runner) = explained.optimize_with_runner(expr);
-        let proof = runner
-            .egraph
-            .explain_equivalence(expr, &report.best().best);
+        let (report, mut egraph) = explained.optimize_with_egraph(expr);
+        let proof = egraph.explain_equivalence(expr, &report.best().best);
         (report, proof)
     }
 
@@ -712,96 +727,36 @@ impl Liar {
     /// [`explain_equivalence`](liar_egraph::EGraph::explain_equivalence)
     /// queries about the run).
     pub fn optimize_with_egraph(&self, expr: &Expr) -> (OptimizationReport, ArrayEGraph) {
-        let (report, runner) = self.optimize_with_runner(expr);
-        (report, runner.egraph)
-    }
-
-    /// [`Liar::optimize`], also returning the saturated runner (the
-    /// explained pipeline needs the e-graph afterwards).
-    fn optimize_with_runner(
-        &self,
-        expr: &Expr,
-    ) -> (
-        OptimizationReport,
-        Runner<liar_ir::ArrayLang, liar_ir::ArrayAnalysis>,
-    ) {
-        let rules = rules_for(self.target, &self.config);
-        let cost = TargetCost::new(self.target).with_discount_scale(self.discount_scale);
-
-        let (mut runner, root) = self.runner_for(expr);
-
-        /// Search-phase statistics forwarded from an
-        /// [`liar_egraph::Iteration`] into a [`StepReport`].
-        struct SearchStats {
-            time: Duration,
-            candidates: usize,
-            matches: usize,
-        }
-
+        let rules = rules_for_targets(&[self.target], &self.config);
+        let cost_fn = TargetCost::new(self.target).with_discount_scale(self.discount_scale);
         let mut steps = Vec::new();
-        let extract = |egraph: &ArrayEGraph,
-                       step: usize,
-                       time: Duration,
-                       search: SearchStats,
-                       applied: Vec<(String, usize)>|
-         -> StepReport {
-            let extractor = Extractor::new(egraph, cost);
-            let (cost, best) = extractor.find_best(root);
+        let extract_step = |egraph: &ArrayEGraph, root, it: &Iteration, sink: &mut TraceSink| {
+            let span = sink.begin("extract/step");
+            let (cost, best) = Extractor::new(egraph, cost_fn).find_best(root);
             let lib_calls = count_lib_calls(&best);
-            StepReport {
-                step,
+            sink.end_with(span, &[("step", it.index as f64)]);
+            steps.push(StepReport {
+                step: it.index,
                 n_nodes: egraph.num_nodes(),
                 n_classes: egraph.num_classes(),
-                step_time: time,
-                search_time: search.time,
-                search_candidates: search.candidates,
-                frontier_candidates: search.candidates,
-                search_matches: search.matches,
-                applied,
+                step_time: it.total_time,
+                search_time: it.search_time,
+                search_candidates: it.search_candidates,
+                frontier_candidates: it.search_candidates,
+                search_matches: it.search_matches,
+                applied: it.applied.clone(),
+                best,
                 cost,
                 lib_calls,
-                best,
-            }
+            });
         };
-
-        let zero = SearchStats {
-            time: Duration::ZERO,
-            candidates: 0,
-            matches: 0,
+        let (runner, _, stop_reason) = self.saturate(expr, &rules, &mut self.sink(), extract_step);
+        let report = OptimizationReport {
+            target: self.target,
+            steps,
+            stop_reason,
         };
-        let mut sink = self.sink("pipeline");
-        let span = sink.begin("extract/step");
-        steps.push(extract(&runner.egraph, 0, Duration::ZERO, zero, Vec::new()));
-        sink.end_with(span, &[("step", 0.0)]);
-        let stop_reason = loop {
-            match runner.run_one(&rules) {
-                Ok(iter) => {
-                    let (index, time) = (iter.index, iter.total_time);
-                    let search = SearchStats {
-                        time: iter.search_time,
-                        candidates: iter.search_candidates,
-                        matches: iter.search_matches,
-                    };
-                    let applied = iter.applied.clone();
-                    let span = sink.begin("extract/step");
-                    steps.push(extract(&runner.egraph, index, time, search, applied));
-                    sink.end_with(span, &[("step", index as f64)]);
-                    if runner.stop_reason.is_some() {
-                        break runner.stop_reason.clone().unwrap();
-                    }
-                }
-                Err(reason) => break reason,
-            }
-        };
-
-        (
-            OptimizationReport {
-                target: self.target,
-                steps,
-                stop_reason,
-            },
-            runner,
-        )
+        (report, runner.egraph)
     }
 
     /// Saturate **once** with the union of `targets`' rule sets, then
@@ -892,8 +847,8 @@ impl Liar {
                 return Ok(((*report).clone(), CacheStatus::Hit));
             }
         }
+        let mut sink = self.sink();
         if let (Some(store), Some(fp)) = (&self.store, fp) {
-            let mut sink = self.sink("pipeline");
             let span = sink.begin("snapshot/load");
             let loaded = store.load(fp);
             sink.end_with(
@@ -906,11 +861,16 @@ impl Liar {
                     ),
                 ],
             );
-            drop(sink);
             if let Some((stop_reason, bytes)) = loaded {
-                if let Some(result) =
-                    self.try_restore_multi(stop_reason, &bytes, expr, targets, discount_scales)
-                {
+                let restored = self.try_restore_multi(
+                    stop_reason,
+                    &bytes,
+                    expr,
+                    targets,
+                    discount_scales,
+                    &mut sink,
+                );
+                if let Some(result) = restored {
                     if let Some(flight) = &self.flight {
                         flight.record(
                             FlightKind::SnapshotRestore,
@@ -935,7 +895,7 @@ impl Liar {
             // cold. (With no cache attached there is nothing to miss.)
             flight.record(FlightKind::CacheMiss, fp.to_string(), 0.0);
         }
-        let report = self.compute_multi(expr, targets, discount_scales)?;
+        let report = self.compute_multi(expr, targets, discount_scales, fp, &mut sink)?;
         match (&self.cache, fp) {
             (Some(cache), Some(fp)) => {
                 cache.insert(fp, Arc::new(report.clone()));
@@ -960,8 +920,8 @@ impl Liar {
         expr: &Expr,
         targets: &[Target],
         discount_scales: &[f64],
+        sink: &mut TraceSink,
     ) -> Option<Result<(MultiReport, CacheStatus), OptimizeError>> {
-        let mut sink = self.sink("pipeline");
         let span = sink.begin("snapshot/restore");
         let restored = ArrayEGraph::restore(ArrayAnalysis::default(), bytes);
         sink.end_with(
@@ -979,7 +939,7 @@ impl Liar {
             expr,
             targets,
             discount_scales,
-            &mut sink,
+            sink,
         ) {
             Ok(solutions) => solutions,
             Err(e) => return Some(Err(e)),
@@ -1011,14 +971,9 @@ impl Liar {
     /// their own extraction over it (the extraction gym benches tree /
     /// DAG / exact extractors this way; `liar optimize --extractor exact`
     /// does too).
-    pub fn saturate_for_targets(
-        &self,
-        expr: &Expr,
-        targets: &[Target],
-    ) -> (ArrayEGraph, liar_egraph::Id) {
+    pub fn saturate_for_targets(&self, expr: &Expr, targets: &[Target]) -> (ArrayEGraph, Id) {
         let rules = rules_for_targets(targets, &self.config);
-        let (mut runner, root) = self.runner_for(expr);
-        runner.run(&rules);
+        let (runner, root, _) = self.saturate(expr, &rules, &mut self.sink(), |_, _, _, _| {});
         (runner.egraph, root)
     }
 
@@ -1028,62 +983,40 @@ impl Liar {
     /// [`InspectReport::check`].
     pub fn inspect(&self, expr: &Expr, targets: &[Target]) -> InspectReport {
         let attributed = self.clone().with_attribution(true);
-        let rules = rules_for_targets(targets, &attributed.config);
-        let (mut runner, _root) = attributed.runner_for(expr);
-        runner.run(&rules);
+        let rules = rules_for_targets(targets, &self.config);
+        let (runner, ..) = attributed.saturate(expr, &rules, &mut self.sink(), |_, _, _, _| {});
         InspectReport::from_runner(&runner)
     }
 
     /// The uncached "saturate once, extract everywhere" computation: saturate
     /// with the union ruleset and extract everything. With a snapshot store
     /// attached, the saturated e-graph is persisted *before* proof
-    /// production touches it, keyed by the request's fingerprint.
+    /// production touches it, keyed by the request's fingerprint `fp`.
     fn compute_multi(
         &self,
         expr: &Expr,
         targets: &[Target],
         discount_scales: &[f64],
+        fp: Option<Fingerprint>,
+        sink: &mut TraceSink,
     ) -> Result<MultiReport, OptimizeError> {
         let rules = rules_for_targets(targets, &self.config);
-        let (mut runner, root) = self.runner_for(expr);
-
-        let initial = SaturationStep {
-            step: 0,
-            n_nodes: runner.egraph.num_nodes(),
-            n_classes: runner.egraph.num_classes(),
-            step_time: Duration::ZERO,
-            search_time: Duration::ZERO,
-            search_candidates: 0,
-            frontier_candidates: 0,
-            search_matches: 0,
-        };
-        let mut sink = self.sink("pipeline");
-        let sat_span = sink.begin("saturate");
-        let sat_start = std::time::Instant::now();
-        let stop_reason = runner.run(&rules);
-        let saturation_time = sat_start.elapsed();
-        sink.end_with(
-            sat_span,
-            &[
-                ("steps", runner.iterations.len() as f64),
-                ("nodes", runner.egraph.num_nodes() as f64),
-                ("classes", runner.egraph.num_classes() as f64),
-            ],
-        );
-
-        let mut steps = vec![initial];
-        for iter in &runner.iterations {
+        let mut steps = Vec::new();
+        let record_step = |egraph: &ArrayEGraph, _, it: &Iteration, _: &mut TraceSink| {
             steps.push(SaturationStep {
-                step: iter.index,
-                n_nodes: iter.n_nodes,
-                n_classes: iter.n_classes,
-                step_time: iter.total_time,
-                search_time: iter.search_time,
-                search_candidates: iter.search_candidates,
-                frontier_candidates: iter.search_candidates,
-                search_matches: iter.search_matches,
+                step: it.index,
+                n_nodes: egraph.num_nodes(),
+                n_classes: egraph.num_classes(),
+                step_time: it.total_time,
+                search_time: it.search_time,
+                search_candidates: it.search_candidates,
+                frontier_candidates: it.search_candidates,
+                search_matches: it.search_matches,
             });
-        }
+        };
+        let start = Instant::now();
+        let (mut runner, root, stop_reason) = self.saturate(expr, &rules, sink, record_step);
+        let saturation_time = start.elapsed();
 
         // Fold the attribution ledger before extraction: proof production
         // may grow the provenance forest, but the growth tables describe
@@ -1097,12 +1030,11 @@ impl Liar {
         // production: extraction never mutates it, but explain_equivalence
         // grows the provenance forest, and the snapshot must capture the
         // graph every future restore-then-prove will reproduce from.
-        if let Some(store) = &self.store {
+        if let (Some(store), Some(fp)) = (&self.store, fp) {
             let save_span = sink.begin("snapshot/save");
             let mut saved_bytes = 0.0;
             if let Ok(bytes) = runner.egraph.snapshot() {
                 saved_bytes = bytes.len() as f64;
-                let fp = self.request_fingerprint(expr, targets, discount_scales);
                 // Best-effort durability: a full disk must not fail the
                 // request itself.
                 let _ = store.save(fp, &stop_reason, &bytes);
@@ -1116,7 +1048,7 @@ impl Liar {
             expr,
             targets,
             discount_scales,
-            &mut sink,
+            sink,
         )?;
 
         Ok(MultiReport {
@@ -1141,7 +1073,7 @@ impl Liar {
     fn extract_solutions(
         &self,
         egraph: &mut ArrayEGraph,
-        root: liar_egraph::Id,
+        root: Id,
         expr: &Expr,
         targets: &[Target],
         discount_scales: &[f64],
@@ -1156,7 +1088,7 @@ impl Liar {
             (targets.len() * discount_scales.len() * self.profiles.len()).max(1);
         let (n_nodes, n_classes) = (egraph.num_nodes(), egraph.num_classes());
         let flatten_span = sink.begin("extract/flatten");
-        let flatten_start = std::time::Instant::now();
+        let flatten_start = Instant::now();
         let flat = liar_egraph::FlatGraph::new(egraph);
         let flatten_share = flatten_start.elapsed() / n_extractions as u32;
         sink.end_with(
@@ -1177,7 +1109,7 @@ impl Liar {
                         profile: profile.name.to_string(),
                     };
                     let span = sink.begin_args(format_args!("extract/{target}"));
-                    let start = std::time::Instant::now();
+                    let start = Instant::now();
                     let extractor = DagExtractor::with_flat(&flat, cost_fn);
                     let (cost, best) = extractor
                         .tree_extractor()

@@ -127,14 +127,7 @@ impl RuleConfig {
 
 /// The complete rule set for a target: core + scalar (+ idioms).
 pub fn rules_for(target: Target, config: &RuleConfig) -> Vec<ArrayRewrite> {
-    let mut rules = core_rules(config);
-    rules.extend(scalar_rules(config));
-    match target {
-        Target::PureC => {}
-        Target::Blas => rules.extend(blas_rules()),
-        Target::Torch => rules.extend(torch_rules()),
-    }
-    rules
+    rules_for_targets(&[target], config)
 }
 
 /// The union of several targets' rule sets, deduplicated by rule name —

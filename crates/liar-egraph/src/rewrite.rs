@@ -55,7 +55,7 @@ pub trait Searcher<L: Language, A: Analysis<L>>: Send + Sync {
     /// True when [`search_class`](Searcher::search_class) is supported, in
     /// which case [`search`](Searcher::search) must be equivalent to
     /// concatenating `search_class` over [`EGraph::class_ids`] (ascending)
-    /// with the limit applied across classes in that order. The parallel
+    /// with the limit applied across classes in that order. The search
     /// engine uses this to split one rule's search into per-class jobs.
     fn can_search_per_class(&self) -> bool {
         false

@@ -1,17 +1,18 @@
 //! The saturation loop: batched search → apply → rebuild, with limits and
 //! per-iteration reports.
 //!
-//! The search phase is read-only over a clean e-graph snapshot, so it can
-//! fan out across threads (see [`Runner::with_threads`]): every (rule ×
-//! e-class-chunk) pair becomes an independent job, and the per-rule match
-//! lists are merged back in (rule order, ascending class id) order, making
-//! the multi-threaded engine bit-identical to the serial one.
+//! The search phase is read-only over a clean e-graph snapshot, so it runs
+//! as independent jobs: one per unbanned rule on one thread, or one per
+//! (rule × e-class-chunk) pair fanned out across threads (see
+//! [`Runner::with_threads`]). The per-rule match lists are merged back in
+//! (rule order, ascending class id) order, so every thread count gives
+//! bit-identical results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use liar_trace::{FlightKind, FlightRecorder, Recorder, TraceSink};
+use liar_trace::{FlightKind, FlightRecorder, TraceSink};
 
 use crate::rewrite::SearchMatches;
 use crate::{Analysis, EGraph, Id, Language, Rewrite, Scheduler, SimpleScheduler};
@@ -65,8 +66,9 @@ impl Default for RunnerLimits {
 }
 
 /// Everything that happened during one saturation step — the raw data
-/// behind the paper's fig. 4 (e-node counts and time per step).
-#[derive(Debug, Clone)]
+/// behind the paper's fig. 4 (e-node counts and time per step). The
+/// default is all zeros: step 0, before any rewriting.
+#[derive(Debug, Clone, Default)]
 pub struct Iteration {
     /// Step index, starting at 1 (step 0 is the initial e-graph).
     pub index: usize,
@@ -82,16 +84,16 @@ pub struct Iteration {
     /// substitutions found)` for each rule. Banned rules record `(0, 0)`.
     /// Summing the columns gives
     /// [`search_candidates`](Iteration::search_candidates) and
-    /// [`search_matches`](Iteration::search_matches); identical under the
-    /// serial and parallel engines.
+    /// [`search_matches`](Iteration::search_matches); identical at every
+    /// thread count.
     pub searched: Vec<(usize, usize)>,
     /// Unions performed by congruence repair during rebuild.
     pub rebuild_unions: usize,
     /// Candidate e-classes scheduled for matching across all unbanned
     /// rules: per-class searchers count their operator-index candidate
     /// list (see [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)),
-    /// whole-e-graph searchers count every class. Identical under the
-    /// serial and parallel engines.
+    /// whole-e-graph searchers count every class. Identical at every
+    /// thread count.
     pub search_candidates: usize,
     /// Always equal to [`search_candidates`](Iteration::search_candidates):
     /// every scheduled candidate class is scanned. Kept for the benchmark
@@ -132,11 +134,14 @@ pub struct Runner<L: Language, A: Analysis<L>> {
     pub iterations: Vec<Iteration>,
     /// Why the run stopped, once it has.
     pub stop_reason: Option<StopReason>,
+    /// The sink the runner records its spans on (see
+    /// [`with_trace`](Runner::with_trace)); a caller that lent its own
+    /// sink takes it back from here after the run.
+    pub trace: TraceSink,
     limits: RunnerLimits,
     scheduler: Box<dyn Scheduler>,
     threads: usize,
     start: Option<Instant>,
-    trace: TraceSink,
     flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -148,11 +153,11 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             roots: Vec::new(),
             iterations: Vec::new(),
             stop_reason: None,
+            trace: TraceSink::off(),
             limits: RunnerLimits::default(),
             scheduler: Box::new(SimpleScheduler),
             threads: 1,
             start: None,
-            trace: TraceSink::off(),
             flight: None,
         }
     }
@@ -196,10 +201,9 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
     /// Search with `n` worker threads (`0` and `1` both mean serial).
     ///
     /// Only the read-only search phase is parallelized; scheduling, apply
-    /// and rebuild stay serial. Results are **bit-identical** to the serial
-    /// engine: jobs are merged back in (rule order, ascending class id)
-    /// order and per-rule match limits are applied to the merged list
-    /// exactly as the serial searcher would.
+    /// and rebuild stay serial. Results are **bit-identical** to one
+    /// thread's: jobs are merged back in (rule order, ascending class id)
+    /// order and per-rule match limits are applied to the merged list.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -214,16 +218,17 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         self
     }
 
-    /// Record saturation spans against `recorder` (see the `liar-trace`
-    /// crate): per-step `step` spans nesting `search`/`apply`/`rebuild`
-    /// phase spans and per-rule `search/<rule>` (serial engine only) and
+    /// Record saturation spans on `sink` (see the `liar-trace` crate):
+    /// per-step `step` spans nesting `search`/`apply`/`rebuild` phase
+    /// spans and per-rule `search/<rule>` (one search thread only) and
     /// `apply/<rule>` spans, plus e-graph growth counters and scheduler
-    /// ban markers. Tracing is strictly observational — it never feeds
-    /// back into search, scheduling, or apply order — so traced runs stay
+    /// ban markers. Spans the caller left open on `sink` enclose the
+    /// runner's. Tracing is strictly observational — it never feeds back
+    /// into search, scheduling, or apply order — so traced runs stay
     /// bit-identical to untraced ones (enforced by the tracing
     /// determinism wall).
-    pub fn with_trace(mut self, recorder: &Arc<Recorder>) -> Self {
-        self.trace = TraceSink::attached(recorder, "saturation");
+    pub fn with_trace(mut self, sink: TraceSink) -> Self {
+        self.trace = sink;
         self
     }
 
@@ -273,7 +278,7 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         // Search phase: all rules see the same clean e-graph snapshot. The
         // scheduler hands out every rule's match budget up front, then the
         // (possibly parallel) search runs, then the scheduler observes every
-        // rule's match count — the same call sequence under both engines.
+        // rule's match count — the same call sequence at any thread count.
         debug_assert!(self.egraph.is_clean(), "searching a dirty e-graph");
         let limits: Vec<Option<usize>> = rules
             .iter()
@@ -327,25 +332,15 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             })
             .collect();
         let search_candidates: usize = rule_candidates.iter().sum();
-        let all_matches = if self.threads > 1 {
-            parallel_search(
-                &self.egraph,
-                rules,
-                &limits,
-                &candidates,
-                &class_ids,
-                self.threads,
-            )
-        } else {
-            serial_search(
-                &self.egraph,
-                rules,
-                &limits,
-                &candidates,
-                &class_ids,
-                &mut self.trace,
-            )
-        };
+        let all_matches = search(
+            &self.egraph,
+            rules,
+            &limits,
+            &candidates,
+            &class_ids,
+            self.threads,
+            &mut self.trace,
+        );
         let mut search_matches = 0;
         let mut rule_matches = Vec::with_capacity(all_matches.len());
         for (i, matches) in all_matches.iter().enumerate() {
@@ -445,66 +440,12 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
     }
 }
 
-/// Search every non-banned rule serially, in rule order.
-///
-/// Per-class-capable rules iterate their candidate list — the sorted
-/// operator-index classes when available, the shared sorted class-id list
-/// otherwise — and replicate
-/// [`Searcher::search`](crate::Searcher::search) truncation semantics
-/// exactly; custom searchers fall back to their own whole-e-graph `search`.
-/// Skipping non-candidate classes is sound because
-/// [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)
-/// over-approximates: a skipped class would have produced zero matches and
-/// therefore cannot affect limits or output order.
-fn serial_search<L: Language + 'static, A: Analysis<L> + 'static>(
-    egraph: &EGraph<L, A>,
-    rules: &[Rewrite<L, A>],
-    limits: &[Option<usize>],
-    candidates: &[Option<Vec<Id>>],
-    class_ids: &[Id],
-    trace: &mut TraceSink,
-) -> Vec<Vec<SearchMatches<L>>> {
-    let mut all = Vec::with_capacity(rules.len());
-    for (i, rule) in rules.iter().enumerate() {
-        // Banned rules get no span (their ban marker already tells the
-        // story); everything else records a `search/<rule>` span.
-        let rule_span = match limits[i] {
-            Some(_) => trace.begin_args(format_args!("search/{}", rule.name())),
-            None => liar_trace::SpanToken::NOOP,
-        };
-        let matches = match limits[i] {
-            None => Vec::new(),
-            Some(limit) if rule.can_search_per_class() => {
-                let ids: &[Id] = candidates[i].as_deref().unwrap_or(class_ids);
-                let mut total = 0;
-                let mut out = Vec::new();
-                for &id in ids {
-                    if total >= limit {
-                        break;
-                    }
-                    let substs = rule.search_class(egraph, id, limit - total);
-                    if !substs.is_empty() {
-                        total += substs.len();
-                        out.push(SearchMatches::new(id, substs));
-                    }
-                }
-                out
-            }
-            Some(limit) => rule.search(egraph, limit),
-        };
-        let n_matches: usize = matches.iter().map(|m| m.len()).sum();
-        trace.end_with(rule_span, &[("matches", n_matches as f64)]);
-        all.push(matches);
-    }
-    all
-}
-
-/// One unit of parallel search work.
+/// One unit of search work.
 enum SearchJob {
     /// Run the rule's whole-e-graph search (custom searchers).
     Whole { rule: usize },
     /// Match the rule against its candidate list's `[start..end]` slice
-    /// (pattern searchers).
+    /// (per-class searchers).
     Chunk { rule: usize, start: usize, end: usize },
 }
 
@@ -516,25 +457,29 @@ impl SearchJob {
     }
 }
 
-/// Search every non-banned rule using `threads` worker threads.
+/// Search every non-banned rule on `threads` threads.
 ///
-/// Per-class-capable rules are split into (rule × candidate-chunk) jobs
-/// over the same per-rule candidate lists the serial engine iterates; the
-/// rest run as one job each. Workers pull jobs from a shared queue, and
-/// each rule's chunk results are merged back in ascending-class order with
-/// the rule's match limit applied across the merged list — reproducing
-/// [`Searcher::search`](crate::Searcher::search) semantics exactly, so the
-/// output (and therefore the whole saturation run) is bit-identical to
-/// [`serial_search`].
-fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
+/// Per-class rules match their candidate list — the sorted operator-index
+/// classes when available, the shared sorted class-id list otherwise;
+/// skipping a non-candidate class is sound because
+/// [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)
+/// over-approximates. On one thread each unbanned rule is one job over its
+/// whole list, run inline inside its `search/<rule>` span (an empty list
+/// still gets its job and its span). With more threads, per-class rules
+/// are split into candidate chunks that workers pull from a shared queue,
+/// and each rule's chunk results are merged back in ascending-class order
+/// with the rule's match limit applied across the merged list — the same
+/// output as one job over the whole list, so the whole saturation run is
+/// bit-identical at every thread count.
+fn search<L: Language + 'static, A: Analysis<L> + 'static>(
     egraph: &EGraph<L, A>,
     rules: &[Rewrite<L, A>],
     limits: &[Option<usize>],
     candidates: &[Option<Vec<Id>>],
     class_ids: &[Id],
     threads: usize,
+    trace: &mut TraceSink,
 ) -> Vec<Vec<SearchMatches<L>>> {
-    // The classes a per-class rule's chunks range over.
     let rule_ids = |rule: usize| -> &[Id] { candidates[rule].as_deref().unwrap_or(class_ids) };
     // Aim for a few jobs per thread per rule so stragglers rebalance, but
     // keep chunks large enough to amortize queue traffic.
@@ -545,28 +490,25 @@ fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
         if limits[i].is_none() {
             continue; // Banned this iteration.
         }
-        if rule.can_search_per_class() {
-            let ids = rule_ids(i);
-            let mut start = 0;
-            while start < ids.len() {
-                let end = (start + chunk_len).min(ids.len());
-                jobs.push(SearchJob::Chunk { rule: i, start, end });
-                start = end;
-            }
-        } else {
+        let n = rule_ids(i).len();
+        if !rule.can_search_per_class() {
             jobs.push(SearchJob::Whole { rule: i });
+        } else if threads == 1 {
+            jobs.push(SearchJob::Chunk { rule: i, start: 0, end: n });
+        } else {
+            for start in (0..n).step_by(chunk_len) {
+                let end = (start + chunk_len).min(n);
+                jobs.push(SearchJob::Chunk { rule: i, start, end });
+            }
         }
     }
 
-    let results: Vec<OnceLock<Vec<SearchMatches<L>>>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
-    let next_job = AtomicUsize::new(0);
     let run_job = |job: &SearchJob| -> Vec<SearchMatches<L>> {
         let limit = limits[job.rule()].expect("job for unbanned rule");
         match *job {
             SearchJob::Whole { rule } => rules[rule].search(egraph, limit),
             SearchJob::Chunk { rule, start, end } => {
-                // Cross-class truncation happens at merge time, but a chunk
+                // Cross-chunk truncation happens at merge time, but a chunk
                 // can still stop early: the merge consumes its matches in
                 // order, so anything beyond `limit` cumulative substitutions
                 // from one chunk could never survive the merged budget.
@@ -586,26 +528,45 @@ fn parallel_search<L: Language + 'static, A: Analysis<L> + 'static>(
             }
         }
     };
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
-            scope.spawn(|| loop {
-                let i = next_job.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let _ = results[i].set(run_job(job));
-            });
-        }
-    });
+    let results: Vec<Vec<SearchMatches<L>>> = if threads == 1 {
+        jobs.iter()
+            .map(|job| {
+                let span = trace.begin_args(format_args!("search/{}", rules[job.rule()].name()));
+                let found = run_job(job);
+                let n_matches: usize = found.iter().map(|m| m.len()).sum();
+                trace.end_with(span, &[("matches", n_matches as f64)]);
+                found
+            })
+            .collect()
+    } else {
+        let slots: Vec<OnceLock<Vec<SearchMatches<L>>>> =
+            jobs.iter().map(|_| OnceLock::new()).collect();
+        let next_job = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads.min(jobs.len()) {
+                scope.spawn(|| loop {
+                    let i = next_job.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let _ = slots[i].set(run_job(job));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("all jobs ran"))
+            .collect()
+    };
 
-    // Merge: chunk jobs were created in (rule, ascending class) order, so a
+    // Merge: jobs were created in (rule, ascending class) order, so a
     // stable pass over the job list groups them correctly.
     let mut merged: Vec<Vec<SearchMatches<L>>> = vec![Vec::new(); rules.len()];
     let mut taken: Vec<usize> = vec![0; rules.len()];
     for (job, result) in jobs.iter().zip(results) {
         let rule = job.rule();
         let limit = limits[rule].expect("job for unbanned rule");
-        for mut m in result.into_inner().expect("all jobs ran") {
-            // Identical truncation to the serial searcher: stop as soon as
-            // the budget is reached, clip the match set that crosses it.
+        for mut m in result {
+            // Stop as soon as the budget is reached, and clip the match
+            // set that crosses it.
             if taken[rule] >= limit {
                 break;
             }
@@ -749,7 +710,7 @@ mod tests {
     #[test]
     fn parallel_search_respects_match_limits() {
         // A growing rule under a tight budget: the limit must clip the
-        // parallel merged match list exactly like the serial searcher.
+        // parallel merged match list exactly like one search thread's.
         let grow = Rewrite::from_patterns("grow", "(+ ?x ?y)", "(+ (f ?x) ?y)");
         let run = |threads: usize| {
             let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
@@ -791,7 +752,7 @@ mod tests {
 
     #[test]
     fn traced_runs_are_bit_identical_and_spans_nest() {
-        let run = |recorder: Option<&Arc<Recorder>>, threads: usize| {
+        let run = |recorder: Option<&Arc<liar_trace::Recorder>>, threads: usize| {
             let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
             let root = eg.add_expr(&"(+ (+ (+ a b) c) (+ d e))".parse().unwrap());
             let mut runner = Runner::new(eg)
@@ -800,14 +761,14 @@ mod tests {
                 .with_scheduler(crate::BackoffScheduler::new(5, 2))
                 .with_threads(threads);
             if let Some(rec) = recorder {
-                runner = runner.with_trace(rec);
+                runner = runner.with_trace(TraceSink::attached(rec, "saturation"));
             }
             runner.run(&[comm(), assoc()]);
             runner
         };
         let plain = run(None, 1);
         for threads in [1, 4] {
-            let rec = Recorder::new();
+            let rec = liar_trace::Recorder::new();
             let traced = run(Some(&rec), threads);
             assert_eq!(plain.stop_reason, traced.stop_reason, "{threads} threads");
             assert_eq!(plain.iterations.len(), traced.iterations.len());
@@ -847,17 +808,40 @@ mod tests {
                 })
                 .count();
             assert_eq!(nodes, traced.iterations.len());
-            // The serial engine records per-rule search spans.
+            // One search thread records per-rule search spans.
             if threads == 1 {
                 assert!(
                     events.iter().any(|e| e.name == "search/comm-add"),
-                    "per-rule search spans exist serially"
+                    "per-rule search spans exist on one thread"
                 );
             }
             assert!(
                 events.iter().any(|e| e.name == "apply/comm-add"),
-                "per-rule apply spans exist under both engines"
+                "per-rule apply spans exist at every thread count"
             );
+        }
+    }
+
+    #[test]
+    fn one_thread_records_a_search_span_per_unbanned_rule_and_step() {
+        // `comm-mul`'s root operator never occurs, so its candidate list is
+        // empty; it still gets its job and its span every step.
+        let comm_mul = Rewrite::from_patterns("comm-mul", "(* ?x ?y)", "(* ?y ?x)");
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        eg.add_expr(&"(+ (+ a b) c)".parse().unwrap());
+        let rec = liar_trace::Recorder::new();
+        let mut runner = Runner::new(eg)
+            .with_iter_limit(3)
+            .with_trace(TraceSink::attached(&rec, "saturation"));
+        runner.run(&[comm(), comm_mul, assoc()]);
+        let steps = runner.iterations.len();
+        assert_eq!(steps, 3);
+        assert!(runner.iterations.iter().all(|it| it.searched[1] == (0, 0)));
+        let events = rec.events();
+        for rule in ["comm-add", "comm-mul", "assoc-add"] {
+            let name = format!("search/{rule}");
+            let spans = events.iter().filter(|e| e.name == name).count();
+            assert_eq!(spans, steps, "{name}: one span per step");
         }
     }
 

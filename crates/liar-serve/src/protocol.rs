@@ -1085,7 +1085,9 @@ pub struct StatsResponse {
 }
 
 impl StatsResponse {
-    fn fields(&self) -> [(&'static str, f64); 16] {
+    /// The counters as `(wire name, value)` pairs in declaration order —
+    /// the keys of the `stats` reply and of `liar stats --json`.
+    pub fn fields(&self) -> [(&'static str, f64); 16] {
         [
             ("cache_hits", self.cache_hits as f64),
             ("cache_misses", self.cache_misses as f64),
@@ -1142,7 +1144,10 @@ pub struct IntrospectResponse {
 }
 
 impl IntrospectResponse {
-    fn report_to_json(report: &InspectReport) -> Json {
+    /// Encode growth tables with a stable key order (struct order; rows
+    /// keep the report's deterministic sort) — the `report` field of the
+    /// `introspect` reply and the `liar inspect --json` document.
+    pub fn report_to_json(report: &InspectReport) -> Json {
         Json::obj([
             ("n_nodes", Json::Num(report.n_nodes as f64)),
             ("n_classes", Json::Num(report.n_classes as f64)),

@@ -51,7 +51,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use liar::codegen::{emit_kernel, emit_kernel_variants, CInput};
-use liar::core::pipeline::count_lib_calls;
+use liar::core::pipeline::{count_lib_calls, lib_call_summary};
 use liar::core::rules::rules_for;
 use liar::core::{InspectReport, Liar, MachineProfile, RuleConfig, Target, TargetCost};
 use liar::egraph::{DagExtractor, Dot, ExactExtractor, Extractor};
@@ -59,7 +59,9 @@ use liar::ir::Expr;
 use liar::kernels::Kernel;
 use liar::serve::json::Json;
 use liar::serve::protocol::target_from_wire;
-use liar::serve::{Client, OptimizeRequest, Server, ServerConfig, StatsResponse};
+use liar::serve::{
+    Client, IntrospectResponse, OptimizeRequest, Server, ServerConfig, StatsResponse,
+};
 use liar::trace::{self_times, Recorder};
 
 // ---------------------------------------------------------------------------
@@ -327,8 +329,8 @@ fn report(
 }
 
 /// Sum per-rule self-time (µs) from a recorder's `search/<rule>` and
-/// `apply/<rule>` spans. Per-rule *search* spans exist only under the
-/// serial engine; apply spans are recorded either way.
+/// `apply/<rule>` spans. Per-rule *search* spans exist only with one
+/// search thread; apply spans are recorded either way.
 fn rule_self_times(recorder: &Recorder) -> std::collections::BTreeMap<String, u64> {
     let events = recorder.events();
     let mut by_rule: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -504,16 +506,7 @@ fn report_extract(
                 }
             };
             let elapsed = t0.elapsed();
-            let calls = count_lib_calls(&best);
-            let solution = if calls.is_empty() {
-                "—".to_string()
-            } else {
-                calls
-                    .iter()
-                    .map(|(name, count)| format!("{count} × {name}"))
-                    .collect::<Vec<_>>()
-                    .join(" + ")
-            };
+            let solution = lib_call_summary(&count_lib_calls(&best));
             println!(
                 "{:<8} {:<8} {:>12.1} {:>10.3?}  {:<22} {}",
                 target.name(),
@@ -713,7 +706,7 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
     );
     println!("solution: {}", report.solutions[0].solution_summary());
     if threads > 1 {
-        println!("note: per-rule search spans are recorded by the serial engine only");
+        println!("note: per-rule search spans are recorded with one search thread only");
     }
 
     println!("\n{:<28} {:>7} {:>12} {:>12}", "phase", "count", "total ms", "self ms");
@@ -749,53 +742,6 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
         eprintln!("trace: wrote {path} (open in chrome://tracing or Perfetto)");
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Render an [`InspectReport`] as JSON with a stable key order (struct
-/// order; rows keep the report's deterministic sort).
-fn inspect_json(report: &InspectReport) -> Json {
-    Json::obj([
-        ("n_nodes", Json::Num(report.n_nodes as f64)),
-        ("n_classes", Json::Num(report.n_classes as f64)),
-        ("nodes_retired", Json::Num(report.nodes_retired as f64)),
-        ("steps", Json::Num(report.steps as f64)),
-        (
-            "rules",
-            Json::Arr(
-                report
-                    .rules
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("name", Json::Str(r.name.clone())),
-                            ("candidates", Json::Num(r.candidates as f64)),
-                            ("matches", Json::Num(r.matches as f64)),
-                            ("applied", Json::Num(r.applied as f64)),
-                            ("nodes_created", Json::Num(r.nodes_created as f64)),
-                            ("classes_created", Json::Num(r.classes_created as f64)),
-                            ("classes_merged", Json::Num(r.classes_merged as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "ops",
-            Json::Arr(
-                report
-                    .ops
-                    .iter()
-                    .map(|o| {
-                        Json::obj([
-                            ("op", Json::Str(o.op.clone())),
-                            ("nodes", Json::Num(o.nodes as f64)),
-                            ("classes", Json::Num(o.classes as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// Print the two introspection tables (shared by `liar inspect` and
@@ -859,7 +805,7 @@ fn run_inspect(p: &Parsed) -> Result<ExitCode, String> {
         .map_err(|e| format!("attribution conservation violated: {e}"))?;
 
     if p.has("--json") {
-        println!("{}", inspect_json(&report).to_json());
+        println!("{}", IntrospectResponse::report_to_json(&report).to_json());
         return Ok(ExitCode::SUCCESS);
     }
     let target_names: Vec<&str> = targets.iter().map(|t| t.name()).collect();
@@ -1049,28 +995,6 @@ fn print_stats(stats: &StatsResponse) {
     );
 }
 
-/// `liar stats --json` payload: the counters in declaration order.
-fn stats_json(stats: &StatsResponse) -> Json {
-    Json::obj([
-        ("cache_hits", Json::Num(stats.cache_hits as f64)),
-        ("cache_misses", Json::Num(stats.cache_misses as f64)),
-        ("cache_insertions", Json::Num(stats.cache_insertions as f64)),
-        ("cache_evictions", Json::Num(stats.cache_evictions as f64)),
-        ("cache_rejected", Json::Num(stats.cache_rejected as f64)),
-        ("cache_entries", Json::Num(stats.cache_entries as f64)),
-        ("cache_bytes", Json::Num(stats.cache_bytes as f64)),
-        ("requests", Json::Num(stats.requests as f64)),
-        ("errors", Json::Num(stats.errors as f64)),
-        ("coalesced", Json::Num(stats.coalesced as f64)),
-        ("batched", Json::Num(stats.batched as f64)),
-        ("queue_depth", Json::Num(stats.queue_depth as f64)),
-        ("inflight", Json::Num(stats.inflight as f64)),
-        ("latency_p50_ms", Json::Num(stats.latency_p50_ms)),
-        ("latency_p95_ms", Json::Num(stats.latency_p95_ms)),
-        ("latency_p99_ms", Json::Num(stats.latency_p99_ms)),
-    ])
-}
-
 /// `liar stats`: scrape a running daemon's counters — human-readable by
 /// default, Prometheus text exposition under `--prometheus`, growth
 /// tables + flight-recorder tail under `--inspect`, machine-readable
@@ -1140,7 +1064,8 @@ fn run_stats(p: &Parsed) -> Result<ExitCode, String> {
         match client.stats() {
             Ok(stats) => {
                 if p.has("--json") {
-                    println!("{}", stats_json(&stats).to_json());
+                    let fields = stats.fields().map(|(name, v)| (name, Json::Num(v)));
+                    println!("{}", Json::obj(fields).to_json());
                 } else {
                     print_stats(&stats);
                 }

@@ -8,18 +8,21 @@
 //!
 //! Also pins the export contract the acceptance criteria name: the
 //! Chrome trace-event JSON parses (with the repo's own parser) and its
-//! phase spans nest properly for real kernels (gemv, mvt), and the
+//! phase spans nest properly for real kernels (gemv, mvt), each pipeline
+//! call traces onto one lane whose self-times reconcile, and the
 //! attribution ledger's conservation identities hold on **every**
 //! evaluation kernel under the union ruleset.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use liar::core::{InspectReport, Liar, MultiReport, OptimizationReport, Target};
+use liar::core::{
+    CacheStatus, InspectReport, Liar, MultiReport, OptimizationReport, SnapshotStore, Target,
+};
 use liar::ir::Expr;
 use liar::kernels::Kernel;
 use liar::serve::json::{self, Json};
-use liar::trace::Recorder;
+use liar::trace::{Event, EventKind, Recorder};
 
 fn optimize(expr: &Expr, threads: usize, trace: Option<&Arc<Recorder>>) -> OptimizationReport {
     let mut pipeline = Liar::new(Target::Blas)
@@ -65,6 +68,72 @@ fn tracing_is_invisible_to_single_target_reports() {
             assert!(events.iter().any(|e| e.name == "rebuild"), "{ctx}: no rebuild spans");
         }
     }
+}
+
+/// Check the one lane a pipeline call registered on `rec` (it had
+/// `lanes_before` lanes): every `step` span sits inside a `saturate` span
+/// whose self-time excludes it, and the lane's span self-times sum to its
+/// top-level spans' durations — what `liar profile` needs to reconcile.
+fn assert_one_reconciled_lane(rec: &Recorder, lanes_before: usize, steps: bool, ctx: &str) {
+    let lanes = rec.lane_names();
+    assert_eq!(lanes.len(), lanes_before + 1, "{ctx}: one lane per call, got {lanes:?}");
+    let spans: Vec<Event> = rec
+        .events()
+        .into_iter()
+        .filter(|e| e.lane == lanes_before && e.kind == EventKind::Span)
+        .collect();
+    let end = |e: &Event| e.start_us + e.dur_us;
+    let inside = |inner: &Event, outer: &Event| {
+        outer.start_us <= inner.start_us && end(inner) <= end(outer)
+    };
+    let step_spans: Vec<&Event> = spans.iter().filter(|e| e.name == "step").collect();
+    assert_eq!(!step_spans.is_empty(), steps, "{ctx}: step spans expected: {steps}");
+    for sat in spans.iter().filter(|e| e.name == "saturate") {
+        let in_sat: u64 = step_spans.iter().filter(|s| inside(s, sat)).map(|s| s.dur_us).sum();
+        assert!(sat.self_us + in_sat <= sat.dur_us, "{ctx}: saturate self-time counts its steps");
+    }
+    for step in &step_spans {
+        assert!(
+            spans.iter().any(|sat| sat.name == "saturate" && inside(step, sat)),
+            "{ctx}: `step` span at {} us lies outside every `saturate` span",
+            step.start_us
+        );
+    }
+    // Spans arrive in begin order, so an enclosing span precedes the spans
+    // it contains.
+    let top_level_us: u64 = spans
+        .iter()
+        .enumerate()
+        .filter(|(i, span)| !spans[..*i].iter().any(|outer| inside(span, outer)))
+        .map(|(_, span)| span.dur_us)
+        .sum();
+    let self_us: u64 = spans.iter().map(|e| e.self_us).sum();
+    assert_eq!(self_us, top_level_us, "{ctx}: self-times do not sum to the top-level time");
+}
+
+#[test]
+fn each_pipeline_call_traces_one_lane_whose_self_times_reconcile() {
+    let expr = Kernel::Gemv.expr(Kernel::Gemv.search_size());
+    let rec = Recorder::new();
+    optimize(&expr, 1, Some(&rec));
+    assert_one_reconciled_lane(&rec, 0, true, "optimize");
+
+    let dir = std::env::temp_dir().join(format!("liar-trace-lanes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(SnapshotStore::open(&dir).expect("store opens"));
+    let pipeline = Liar::new(Target::Blas)
+        .with_iter_limit(6)
+        .with_snapshot_store(store)
+        .with_trace(Arc::clone(&rec));
+    for (expected, steps) in [(CacheStatus::Uncached, true), (CacheStatus::Warm, false)] {
+        let lanes_before = rec.lane_names().len();
+        let (_, status) = pipeline
+            .optimize_multi_status(&expr, &[Target::Blas], &[1.0])
+            .expect("multi-target optimization succeeds");
+        assert_eq!(status, expected);
+        assert_one_reconciled_lane(&rec, lanes_before, steps, status.name());
+    }
+    std::fs::remove_dir_all(&dir).expect("store directory removed");
 }
 
 fn optimize_multi(expr: &Expr, threads: usize, trace: Option<&Arc<Recorder>>) -> MultiReport {
