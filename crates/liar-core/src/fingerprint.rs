@@ -14,10 +14,9 @@
 //! * the saturation budgets (step limit, node limit, wall-clock limit,
 //!   per-rule match limit).
 //!
-//! Deliberately **excluded**: the worker thread count — parallel search
-//! is bit-identical to serial by construction (see
-//! [`liar_egraph::Runner::with_threads`]), so requests that differ only
-//! in `threads` may share a cache entry.
+//! Deliberately **excluded**: observers that never change the result —
+//! tracing, growth attribution and the flight recorder — so traced and
+//! untraced requests share a cache entry.
 //!
 //! A request whose budgets include a wall-clock limit is still
 //! fingerprinted (the limit is part of the key), but note that such runs

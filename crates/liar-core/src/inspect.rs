@@ -17,8 +17,7 @@
 //! The report also re-states the attribution **conservation invariant**
 //! ([`InspectReport::check`]): per-rule creations minus retirements and
 //! merges must reproduce the final graph's node and class totals
-//! *exactly*. Both inputs are bit-identical under the serial and
-//! parallel engines, so the report is too.
+//! *exactly*.
 
 use std::collections::BTreeMap;
 

@@ -65,8 +65,7 @@ pub struct StepReport {
     pub n_classes: usize,
     /// Wall-clock time of the step (zero for step 0).
     pub step_time: Duration,
-    /// Time the step spent in the (possibly parallel) search phase (zero
-    /// for step 0).
+    /// Time the step spent in the search phase (zero for step 0).
     pub search_time: Duration,
     /// Candidate e-classes the search phase scheduled across all unbanned
     /// rules (zero for step 0) — the quantity the operator index shrinks;
@@ -115,8 +114,7 @@ impl OptimizationReport {
         self.steps.last().expect("at least step 0 exists")
     }
 
-    /// Total time spent in the search (e-matching) phase across all steps
-    /// — the quantity [`Liar::with_threads`] accelerates.
+    /// Total time spent in the search (e-matching) phase across all steps.
     pub fn total_search_time(&self) -> Duration {
         self.steps.iter().map(|s| s.search_time).sum()
     }
@@ -158,7 +156,7 @@ pub struct SaturationStep {
     pub n_classes: usize,
     /// Wall-clock time of the step (zero for step 0).
     pub step_time: Duration,
-    /// Time the step spent in the (possibly parallel) search phase.
+    /// Time the step spent in the search phase.
     pub search_time: Duration,
     /// Candidate e-classes the search phase scheduled across all rules.
     pub search_candidates: usize,
@@ -351,7 +349,6 @@ pub struct Liar {
     match_limit: usize,
     discount_scale: f64,
     profiles: Vec<MachineProfile>,
-    threads: usize,
     explain: bool,
     cache: Option<Arc<SaturationCache>>,
     store: Option<Arc<SnapshotStore>>,
@@ -412,7 +409,6 @@ impl Liar {
             match_limit: 40_000,
             discount_scale: 1.0,
             profiles: vec![MachineProfile::default()],
-            threads: 1,
             explain: false,
             cache: None,
             store: None,
@@ -494,16 +490,6 @@ impl Liar {
         &self.profiles
     }
 
-    /// Search with `n` worker threads (`0` and `1` both mean serial).
-    ///
-    /// Parallelizes the e-matching phase of every saturation step; the
-    /// resulting [`OptimizationReport`] is bit-identical to a serial run
-    /// (see [`liar_egraph::Runner::with_threads`]).
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
     /// Attach a shared saturation cache: [`Liar::optimize_multi`] will
     /// replay cached reports and store fresh ones. Clones of this
     /// pipeline share the same cache (it is behind an [`Arc`]).
@@ -542,12 +528,11 @@ impl Liar {
     /// `docs/OBSERVABILITY.md` for the full catalogue).
     ///
     /// Tracing is strictly observational: reports, solutions and proofs
-    /// are bit-identical with it on or off, so — like the thread count —
-    /// the recorder is **excluded** from
-    /// [`Liar::request_fingerprint`] and traced/untraced cache entries are
-    /// interchangeable. Events from a *disabled* recorder
-    /// ([`Recorder::off`]) cost one relaxed atomic load and a branch per
-    /// call site.
+    /// are bit-identical with it on or off, so the recorder is
+    /// **excluded** from [`Liar::request_fingerprint`] and traced/untraced
+    /// cache entries are interchangeable. Events from a *disabled*
+    /// recorder ([`Recorder::off`]) cost one relaxed atomic load and a
+    /// branch per call site.
     pub fn with_trace(mut self, recorder: Arc<Recorder>) -> Self {
         self.trace = Some(recorder);
         self
@@ -624,8 +609,7 @@ impl Liar {
     /// The content address of the [`Liar::optimize_multi`] request
     /// `(expr, targets, discount_scales)` would make under this
     /// pipeline's configuration — see [`crate::fingerprint`] for what the
-    /// key covers (notably: the thread count is excluded, because
-    /// parallel search is bit-identical to serial).
+    /// key covers.
     pub fn request_fingerprint(
         &self,
         expr: &Expr,
@@ -645,9 +629,11 @@ impl Liar {
     /// The one saturation loop every pipeline mode runs (paper fig. 2): add
     /// `expr` to a fresh e-graph, open the `saturate` span and run `rules`
     /// to a stop, calling `hook` with the e-graph, its root and the step's
-    /// [`Iteration`] before the first step (an all-zero step 0) and after
-    /// every step. The runner records on `sink` until the loop stops, so
-    /// its spans and the hook's nest under `saturate` on the call's lane.
+    /// [`Iteration`] before the first step (step 0: the initial e-node and
+    /// e-class counts, all else zero) and after every step. Hooks read the
+    /// counts from the record rather than walking the e-graph again. The
+    /// runner records on `sink` until the loop stops, so its spans and the
+    /// hook's nest under `saturate` on the call's lane.
     fn saturate(
         &self,
         expr: &Expr,
@@ -663,17 +649,21 @@ impl Liar {
             egraph = egraph.with_attribution_enabled();
         }
         let root = egraph.add_expr(expr);
+        let step0 = Iteration {
+            n_nodes: egraph.num_nodes(),
+            n_classes: egraph.num_classes(),
+            ..Iteration::default()
+        };
         let mut runner = Runner::new(egraph)
             .with_root(root)
             .with_limits(self.limits.clone())
             .with_scheduler(self.scheduler())
-            .with_threads(self.threads)
             .with_trace(std::mem::replace(sink, TraceSink::off()));
         if let Some(flight) = &self.flight {
             runner = runner.with_flight(Arc::clone(flight));
         }
         let span = runner.trace.begin("saturate");
-        hook(&runner.egraph, root, &Iteration::default(), &mut runner.trace);
+        hook(&runner.egraph, root, &step0, &mut runner.trace);
         let stop_reason = loop {
             if let Err(reason) = runner.run_one(rules) {
                 break reason;
@@ -681,10 +671,11 @@ impl Liar {
             let iteration = runner.iterations.last().expect("a step just ran");
             hook(&runner.egraph, root, iteration, &mut runner.trace);
         };
+        let last = runner.iterations.last().unwrap_or(&step0);
         let counts = [
             ("steps", runner.iterations.len() as f64),
-            ("nodes", runner.egraph.num_nodes() as f64),
-            ("classes", runner.egraph.num_classes() as f64),
+            ("nodes", last.n_nodes as f64),
+            ("classes", last.n_classes as f64),
         ];
         runner.trace.end_with(span, &counts);
         *sink = std::mem::replace(&mut runner.trace, TraceSink::off());
@@ -737,8 +728,8 @@ impl Liar {
             sink.end_with(span, &[("step", it.index as f64)]);
             steps.push(StepReport {
                 step: it.index,
-                n_nodes: egraph.num_nodes(),
-                n_classes: egraph.num_classes(),
+                n_nodes: it.n_nodes,
+                n_classes: it.n_classes,
                 step_time: it.total_time,
                 search_time: it.search_time,
                 search_candidates: it.search_candidates,
@@ -1002,11 +993,11 @@ impl Liar {
     ) -> Result<MultiReport, OptimizeError> {
         let rules = rules_for_targets(targets, &self.config);
         let mut steps = Vec::new();
-        let record_step = |egraph: &ArrayEGraph, _, it: &Iteration, _: &mut TraceSink| {
+        let record_step = |_: &ArrayEGraph, _, it: &Iteration, _: &mut TraceSink| {
             steps.push(SaturationStep {
                 step: it.index,
-                n_nodes: egraph.num_nodes(),
-                n_classes: egraph.num_classes(),
+                n_nodes: it.n_nodes,
+                n_classes: it.n_classes,
                 step_time: it.total_time,
                 search_time: it.search_time,
                 search_candidates: it.search_candidates,

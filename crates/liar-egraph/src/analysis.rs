@@ -40,14 +40,12 @@ impl std::ops::BitOr for DidMerge {
 /// Languages without binders can ignore all three (the defaults make shift
 /// patterns never match).
 ///
-/// Analyses and their facts must be `Send + Sync`: the parallel search
-/// phase shares the e-graph (including every class's `Data` and the
-/// analysis instance itself) immutably across threads. Analyses that cache
-/// (like LIAR's downshift cache) must use interior mutability that is
-/// thread-safe (`Mutex`, not `RefCell`).
-pub trait Analysis<L: Language>: Sized + Send + Sync {
+/// Search reads the e-graph through a shared reference, so an analysis
+/// that caches during search (like LIAR's downshift cache) keeps its cache
+/// behind interior mutability.
+pub trait Analysis<L: Language>: Sized {
     /// The per-class analysis fact.
-    type Data: std::fmt::Debug + Clone + Send + Sync;
+    type Data: std::fmt::Debug + Clone;
 
     /// Compute the fact for a freshly added e-node from its children's
     /// facts.

@@ -32,9 +32,9 @@
 //! (one node, charged) and at a union (the loser's nodes move to the
 //! winner — no change in total), and only shrink in `rebuild`'s
 //! deduplication pass, which retires nodes whose spellings became equal
-//! under congruence ([`Attribution::nodes_retired`]). Because every
-//! recording site runs in the serial apply/rebuild phases, the ledger is
-//! bit-identical between serial and parallel search
+//! under congruence ([`Attribution::nodes_retired`]). Every recording site
+//! runs in the apply and rebuild phases and none feeds back into them, so
+//! attributed runs stay bit-identical to unattributed ones
 //! (`tests/trace_determinism.rs` is the wall).
 
 use std::collections::HashMap;

@@ -172,7 +172,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     ///
     /// Like explanations, attribution is strictly observational (the
     /// e-graph's contents, reports, solutions and proofs are bit-identical
-    /// with it on or off, serial or parallel) and the `None` default pays
+    /// with it on or off) and the `None` default pays
     /// one branch per recording site.
     ///
     /// # Panics

@@ -11,12 +11,7 @@ use crate::Id;
 /// when they have the same operator and payload, irrespective of what their
 /// children point at. Children are [`Id`]s — e-class ids inside an
 /// [`EGraph`](crate::EGraph), or node indices inside a [`RecExpr`].
-///
-/// `Send + Sync` is required so that a whole e-graph can be shared
-/// immutably across the worker threads of the parallel search phase (see
-/// [`Runner::with_threads`](crate::Runner::with_threads)); node types are
-/// plain data, so this costs implementors nothing.
-pub trait Language: fmt::Debug + Clone + Eq + Ord + std::hash::Hash + Send + Sync {
+pub trait Language: fmt::Debug + Clone + Eq + Ord + std::hash::Hash {
     /// The children of this node.
     fn children(&self) -> &[Id];
 
@@ -266,14 +261,21 @@ pub(crate) fn tokenize(s: &str) -> Vec<String> {
     tokens
 }
 
+/// The deepest list nesting [`parse_sexp`] accepts. The parser recurses
+/// once per level, so without a cap a deeply nested request would overflow
+/// the parsing thread's stack and abort the process. The deepest kernel
+/// program nests 55 levels.
+const MAX_DEPTH: usize = 1_000;
+
 /// A generic s-expression parser driven by a node-construction callback.
 ///
 /// `make(op, children)` is called for every atom/list head with the ids of
-/// already-parsed children.
+/// already-parsed children. Input nested deeper than [`MAX_DEPTH`] lists
+/// is an error.
 pub(crate) fn parse_sexp(s: &str, make: MakeNode<'_>) -> Result<Id, RecExprParseError> {
     let tokens = tokenize(s);
     let mut pos = 0;
-    let root = parse_tokens(&tokens, &mut pos, make).map_err(RecExprParseError)?;
+    let root = parse_tokens(&tokens, &mut pos, 0, make).map_err(RecExprParseError)?;
     if pos != tokens.len() {
         return Err(RecExprParseError(format!(
             "trailing tokens after expression: {:?}",
@@ -283,12 +285,20 @@ pub(crate) fn parse_sexp(s: &str, make: MakeNode<'_>) -> Result<Id, RecExprParse
     Ok(root)
 }
 
-fn parse_tokens(tokens: &[String], pos: &mut usize, make: MakeNode<'_>) -> Result<Id, String> {
+/// Parse one expression starting at `tokens[*pos]`, inside `depth`
+/// enclosing lists.
+fn parse_tokens(
+    tokens: &[String],
+    pos: &mut usize,
+    depth: usize,
+    make: MakeNode<'_>,
+) -> Result<Id, String> {
     let tok = tokens
         .get(*pos)
         .ok_or_else(|| "unexpected end of input".to_string())?;
     *pos += 1;
     match tok.as_str() {
+        "(" if depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH} levels")),
         "(" => {
             let op = tokens
                 .get(*pos)
@@ -307,7 +317,7 @@ fn parse_tokens(tokens: &[String], pos: &mut usize, make: MakeNode<'_>) -> Resul
                     *pos += 1;
                     break;
                 }
-                children.push(parse_tokens(tokens, pos, make)?);
+                children.push(parse_tokens(tokens, pos, depth + 1, make)?);
             }
             make(&op, children)
         }
@@ -348,6 +358,20 @@ mod tests {
         assert!("(f a) b".parse::<RecExpr<SymbolLang>>().is_err());
         assert!("".parse::<RecExpr<SymbolLang>>().is_err());
         assert!("(())".parse::<RecExpr<SymbolLang>>().is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_depth_limit() {
+        let nested = |depth: usize| format!("{}a{}", "(f ".repeat(depth), ")".repeat(depth));
+        let at_limit: RecExpr<SymbolLang> = nested(MAX_DEPTH).parse().expect("limit parses");
+        assert_eq!(at_limit.len(), MAX_DEPTH + 1);
+        let err = nested(MAX_DEPTH + 1)
+            .parse::<RecExpr<SymbolLang>>()
+            .expect_err("one level past the limit");
+        assert_eq!(
+            err.to_string(),
+            "parse error: nesting deeper than 1000 levels"
+        );
     }
 
     #[test]

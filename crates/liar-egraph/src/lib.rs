@@ -23,10 +23,9 @@
 //!   ([`EGraph::classes_with_op`]) so a rule only visits classes whose
 //!   members can match its root operator.
 //! * [`Rewrite`], [`Runner`], [`BackoffScheduler`] — saturation proper:
-//!   every step searches each rule over the whole e-graph with the compiled
-//!   VM (serially, or fanned out across threads with bit-identical
-//!   results), with per-iteration reports of e-node counts and timings (the
-//!   raw data behind the paper's fig. 4).
+//!   every step searches each rule, in rule order, over its candidate
+//!   classes with the compiled VM, with per-iteration reports of e-node
+//!   counts and timings (the raw data behind the paper's fig. 4).
 //! * [`Extract`], [`Extractor`], [`DagExtractor`] and [`CostFunction`] —
 //!   cost-based term extraction (the paper's §V-C extractors are cost
 //!   functions over this engine), with both tree-cost and DAG-cost
@@ -81,6 +80,7 @@ mod language;
 pub mod machine;
 mod pattern;
 mod rewrite;
+mod rng;
 mod runner;
 mod scheduler;
 pub mod snapshot;
@@ -102,6 +102,7 @@ pub use language::{Language, RecExpr, RecExprParseError};
 pub use machine::OraclePattern;
 pub use pattern::{Binding, Pattern, PatternNode, PatternParseError, Subst, Var};
 pub use rewrite::{Applier, Rewrite, SearchMatches, Searcher};
+pub use rng::SplitMix64;
 pub use runner::{Iteration, Runner, RunnerLimits, StopReason};
 pub use scheduler::{BackoffScheduler, Scheduler, SimpleScheduler};
 pub use snapshot::{

@@ -26,8 +26,7 @@
 //! Instructions are emitted in pre-order over the pattern, so backtracking
 //! (earlier instructions vary slowest) enumerates matches in **exactly**
 //! the order of the recursive oracle matcher — a property the differential
-//! test suite relies on, and which keeps multi-threaded saturation
-//! bit-identical to serial runs.
+//! test suite relies on.
 //!
 //! # Compilation
 //!

@@ -95,8 +95,8 @@ pub enum Binding<L> {
     /// Bound to an existing e-class.
     Class(Id),
     /// Bound to a term not (necessarily) in the e-graph yet. Shared via
-    /// `Arc` so substitutions can cross the parallel search phase's thread
-    /// boundary.
+    /// `Arc`: an analysis may hand out a term it keeps (see
+    /// [`Analysis::downshift`](crate::Analysis::downshift)).
     Expr(Arc<RecExpr<L>>),
 }
 

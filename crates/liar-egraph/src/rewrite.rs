@@ -44,19 +44,17 @@ impl<L> SearchMatches<L> {
 ///
 /// `limit` bounds the total number of substitutions returned; searchers
 /// must stay read-only so that a whole batch of rules can be searched
-/// against one consistent e-graph snapshot. `Send + Sync` lets the
-/// parallel search phase fan searcher invocations out across threads; a
-/// searcher must therefore not cache state behind non-thread-safe interior
-/// mutability.
-pub trait Searcher<L: Language, A: Analysis<L>>: Send + Sync {
+/// against one consistent e-graph snapshot.
+pub trait Searcher<L: Language, A: Analysis<L>> {
     /// Search the whole e-graph, returning at most `limit` substitutions.
     fn search(&self, egraph: &EGraph<L, A>, limit: usize) -> Vec<SearchMatches<L>>;
 
     /// True when [`search_class`](Searcher::search_class) is supported, in
     /// which case [`search`](Searcher::search) must be equivalent to
     /// concatenating `search_class` over [`EGraph::class_ids`] (ascending)
-    /// with the limit applied across classes in that order. The search
-    /// engine uses this to split one rule's search into per-class jobs.
+    /// with the limit applied across classes in that order. The runner then
+    /// matches only the rule's
+    /// [candidate classes](Searcher::candidate_class_ids), one at a time.
     fn can_search_per_class(&self) -> bool {
         false
     }
@@ -100,10 +98,8 @@ pub trait Searcher<L: Language, A: Analysis<L>>: Send + Sync {
 }
 
 /// The right-hand side of a rewrite: given one match, mutate the e-graph
-/// (add nodes, union classes). `Send + Sync` keeps whole [`Rewrite`]s
-/// shareable across the parallel search phase's threads (appliers
-/// themselves always run serially).
-pub trait Applier<L: Language, A: Analysis<L>>: Send + Sync {
+/// (add nodes, union classes).
+pub trait Applier<L: Language, A: Analysis<L>> {
     /// Apply the rewrite for a single `(class, subst)` match. Returns the
     /// ids of classes that actually changed (empty when the application was
     /// a no-op, e.g. the union was already known).

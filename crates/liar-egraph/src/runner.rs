@@ -1,15 +1,12 @@
 //! The saturation loop: batched search → apply → rebuild, with limits and
 //! per-iteration reports.
 //!
-//! The search phase is read-only over a clean e-graph snapshot, so it runs
-//! as independent jobs: one per unbanned rule on one thread, or one per
-//! (rule × e-class-chunk) pair fanned out across threads (see
-//! [`Runner::with_threads`]). The per-rule match lists are merged back in
-//! (rule order, ascending class id) order, so every thread count gives
-//! bit-identical results.
+//! The search phase is read-only over a clean e-graph: every unbanned rule
+//! is searched in rule order, each inside its own `search/<rule>` span, over
+//! its operator-index candidate classes in ascending id order, and stops at
+//! exactly its scheduler match budget.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use liar_trace::{FlightKind, FlightRecorder, TraceSink};
@@ -84,16 +81,14 @@ pub struct Iteration {
     /// substitutions found)` for each rule. Banned rules record `(0, 0)`.
     /// Summing the columns gives
     /// [`search_candidates`](Iteration::search_candidates) and
-    /// [`search_matches`](Iteration::search_matches); identical at every
-    /// thread count.
+    /// [`search_matches`](Iteration::search_matches).
     pub searched: Vec<(usize, usize)>,
     /// Unions performed by congruence repair during rebuild.
     pub rebuild_unions: usize,
     /// Candidate e-classes scheduled for matching across all unbanned
     /// rules: per-class searchers count their operator-index candidate
     /// list (see [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)),
-    /// whole-e-graph searchers count every class. Identical at every
-    /// thread count.
+    /// whole-e-graph searchers count every class.
     pub search_candidates: usize,
     /// Always equal to [`search_candidates`](Iteration::search_candidates):
     /// every scheduled candidate class is scanned. Kept for the benchmark
@@ -140,7 +135,6 @@ pub struct Runner<L: Language, A: Analysis<L>> {
     pub trace: TraceSink,
     limits: RunnerLimits,
     scheduler: Box<dyn Scheduler>,
-    threads: usize,
     start: Option<Instant>,
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -156,7 +150,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             trace: TraceSink::off(),
             limits: RunnerLimits::default(),
             scheduler: Box::new(SimpleScheduler),
-            threads: 1,
             start: None,
             flight: None,
         }
@@ -198,14 +191,12 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         self
     }
 
-    /// Search with `n` worker threads (`0` and `1` both mean serial).
+    /// Does nothing: search runs on the calling thread.
     ///
-    /// Only the read-only search phase is parallelized; scheduling, apply
-    /// and rebuild stay serial. Results are **bit-identical** to one
-    /// thread's: jobs are merged back in (rule order, ascending class id)
-    /// order and per-rule match limits are applied to the merged list.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
+    /// Exists only because the benchmark ledger (`ledger/src/layers.rs`)
+    /// still calls it; remove it once that caller is gone.
+    #[doc(hidden)]
+    pub fn with_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -220,13 +211,12 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
 
     /// Record saturation spans on `sink` (see the `liar-trace` crate):
     /// per-step `step` spans nesting `search`/`apply`/`rebuild` phase
-    /// spans and per-rule `search/<rule>` (one search thread only) and
-    /// `apply/<rule>` spans, plus e-graph growth counters and scheduler
-    /// ban markers. Spans the caller left open on `sink` enclose the
-    /// runner's. Tracing is strictly observational — it never feeds back
-    /// into search, scheduling, or apply order — so traced runs stay
-    /// bit-identical to untraced ones (enforced by the tracing
-    /// determinism wall).
+    /// spans and per-rule `search/<rule>` and `apply/<rule>` spans, plus
+    /// e-graph growth counters and scheduler ban markers. Spans the caller
+    /// left open on `sink` enclose the runner's. Tracing is strictly
+    /// observational — it never feeds back into search, scheduling, or
+    /// apply order — so traced runs stay bit-identical to untraced ones
+    /// (enforced by the tracing determinism wall).
     pub fn with_trace(mut self, sink: TraceSink) -> Self {
         self.trace = sink;
         self
@@ -246,7 +236,13 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         if self.iterations.len() >= self.limits.iter_limit {
             return Some(StopReason::IterationLimit);
         }
-        if self.egraph.num_nodes() >= self.limits.node_limit {
+        // The last step's count was taken after its rebuild, so only the
+        // first step walks the e-graph to count its e-nodes.
+        let n_nodes = match self.iterations.last() {
+            Some(it) => it.n_nodes,
+            None => self.egraph.num_nodes(),
+        };
+        if n_nodes >= self.limits.node_limit {
             return Some(StopReason::NodeLimit);
         }
         if let (Some(budget), Some(start)) = (self.limits.time_limit, self.start) {
@@ -275,10 +271,10 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         let step_span = self.trace.begin("step");
         let search_span = self.trace.begin("search");
 
-        // Search phase: all rules see the same clean e-graph snapshot. The
-        // scheduler hands out every rule's match budget up front, then the
-        // (possibly parallel) search runs, then the scheduler observes every
-        // rule's match count — the same call sequence at any thread count.
+        // Search phase: all rules see the same clean e-graph. The scheduler
+        // hands out every rule's match budget up front, then each unbanned
+        // rule is searched in rule order and the scheduler observes its
+        // match count.
         debug_assert!(self.egraph.is_clean(), "searching a dirty e-graph");
         let limits: Vec<Option<usize>> = rules
             .iter()
@@ -307,61 +303,34 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
                 }
             }
         }
-        // Candidate class lists per unbanned per-class rule: the operator
-        // index narrows pattern rules to the classes containing their root
-        // operator; `None` means "every class" (custom searchers, or
-        // searchers without an index entry point).
         let class_ids = self.egraph.class_ids();
-        let candidates: Vec<Option<Vec<Id>>> = rules
-            .iter()
-            .zip(&limits)
-            .map(|(rule, limit)| {
-                if limit.is_none() || !rule.can_search_per_class() {
-                    return None;
-                }
-                rule.candidate_class_ids(&self.egraph)
-            })
-            .collect();
-        let rule_candidates: Vec<usize> = limits
-            .iter()
-            .zip(&candidates)
-            .map(|(limit, cands)| match (limit, cands) {
-                (None, _) => 0,
-                (Some(_), Some(ids)) => ids.len(),
-                (Some(_), None) => class_ids.len(),
-            })
-            .collect();
-        let search_candidates: usize = rule_candidates.iter().sum();
-        let all_matches = search(
-            &self.egraph,
-            rules,
-            &limits,
-            &candidates,
-            &class_ids,
-            self.threads,
-            &mut self.trace,
-        );
-        let mut search_matches = 0;
-        let mut rule_matches = Vec::with_capacity(all_matches.len());
-        for (i, matches) in all_matches.iter().enumerate() {
-            let n: usize = matches.iter().map(|m| m.len()).sum();
-            search_matches += n;
-            rule_matches.push(n);
-            if let Some(limit) = limits[i] {
-                self.scheduler.record(iteration_idx, i, n);
-                // The match stream stops exactly at the budget, so
-                // hitting it means the scheduler truncated this rule.
-                if n >= limit && limit > 0 {
-                    if let Some(flight) = &self.flight {
-                        flight.record(
-                            FlightKind::BudgetTruncated,
-                            rules[i].name(),
-                            limit as f64,
-                        );
-                    }
+        let mut all_matches = Vec::with_capacity(rules.len());
+        let mut searched = Vec::with_capacity(rules.len());
+        for (i, (rule, limit)) in rules.iter().zip(&limits).enumerate() {
+            let Some(limit) = *limit else {
+                all_matches.push(Vec::new());
+                searched.push((0, 0));
+                continue;
+            };
+            let span = self
+                .trace
+                .begin_args(format_args!("search/{}", rule.name()));
+            let (n_candidates, matches) = search_rule(&self.egraph, rule, limit, &class_ids);
+            let n_matches: usize = matches.iter().map(SearchMatches::len).sum();
+            self.trace.end_with(span, &[("matches", n_matches as f64)]);
+            self.scheduler.record(iteration_idx, i, n_matches);
+            // The match stream stops exactly at the budget, so hitting it
+            // means the scheduler truncated this rule.
+            if n_matches >= limit && limit > 0 {
+                if let Some(flight) = &self.flight {
+                    flight.record(FlightKind::BudgetTruncated, rule.name(), limit as f64);
                 }
             }
+            all_matches.push(matches);
+            searched.push((n_candidates, n_matches));
         }
+        let search_candidates: usize = searched.iter().map(|&(c, _)| c).sum();
+        let search_matches: usize = searched.iter().map(|&(_, m)| m).sum();
         let search_time = step_start.elapsed();
         self.trace.end_with(
             search_span,
@@ -402,7 +371,7 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             n_nodes: self.egraph.num_nodes(),
             n_classes: self.egraph.num_classes(),
             applied,
-            searched: rule_candidates.into_iter().zip(rule_matches).collect(),
+            searched,
             rebuild_unions,
             search_candidates,
             frontier_candidates: search_candidates,
@@ -440,144 +409,49 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
     }
 }
 
-/// One unit of search work.
-enum SearchJob {
-    /// Run the rule's whole-e-graph search (custom searchers).
-    Whole { rule: usize },
-    /// Match the rule against its candidate list's `[start..end]` slice
-    /// (per-class searchers).
-    Chunk { rule: usize, start: usize, end: usize },
-}
-
-impl SearchJob {
-    fn rule(&self) -> usize {
-        match *self {
-            SearchJob::Whole { rule } | SearchJob::Chunk { rule, .. } => rule,
-        }
-    }
-}
-
-/// Search every non-banned rule on `threads` threads.
+/// Search one unbanned rule, returning the number of candidate classes it
+/// was scheduled over and its matches, which stop at exactly `limit`
+/// substitutions.
 ///
-/// Per-class rules match their candidate list — the sorted operator-index
-/// classes when available, the shared sorted class-id list otherwise;
-/// skipping a non-candidate class is sound because
+/// A per-class rule matches its candidate list in ascending class order:
+/// the operator-index classes when the searcher has them, every class
+/// otherwise. Skipping a non-candidate class is sound because
 /// [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)
-/// over-approximates. On one thread each unbanned rule is one job over its
-/// whole list, run inline inside its `search/<rule>` span (an empty list
-/// still gets its job and its span). With more threads, per-class rules
-/// are split into candidate chunks that workers pull from a shared queue,
-/// and each rule's chunk results are merged back in ascending-class order
-/// with the rule's match limit applied across the merged list — the same
-/// output as one job over the whole list, so the whole saturation run is
-/// bit-identical at every thread count.
-fn search<L: Language + 'static, A: Analysis<L> + 'static>(
+/// over-approximates. A whole-graph (custom) searcher runs once over every
+/// class, and the match set that crosses the budget is clipped.
+fn search_rule<L: Language + 'static, A: Analysis<L> + 'static>(
     egraph: &EGraph<L, A>,
-    rules: &[Rewrite<L, A>],
-    limits: &[Option<usize>],
-    candidates: &[Option<Vec<Id>>],
+    rule: &Rewrite<L, A>,
+    limit: usize,
     class_ids: &[Id],
-    threads: usize,
-    trace: &mut TraceSink,
-) -> Vec<Vec<SearchMatches<L>>> {
-    let rule_ids = |rule: usize| -> &[Id] { candidates[rule].as_deref().unwrap_or(class_ids) };
-    // Aim for a few jobs per thread per rule so stragglers rebalance, but
-    // keep chunks large enough to amortize queue traffic.
-    let chunk_len = (class_ids.len() / (threads * 4)).max(64);
-
-    let mut jobs: Vec<SearchJob> = Vec::new();
-    for (i, rule) in rules.iter().enumerate() {
-        if limits[i].is_none() {
-            continue; // Banned this iteration.
-        }
-        let n = rule_ids(i).len();
-        if !rule.can_search_per_class() {
-            jobs.push(SearchJob::Whole { rule: i });
-        } else if threads == 1 {
-            jobs.push(SearchJob::Chunk { rule: i, start: 0, end: n });
-        } else {
-            for start in (0..n).step_by(chunk_len) {
-                let end = (start + chunk_len).min(n);
-                jobs.push(SearchJob::Chunk { rule: i, start, end });
-            }
-        }
-    }
-
-    let run_job = |job: &SearchJob| -> Vec<SearchMatches<L>> {
-        let limit = limits[job.rule()].expect("job for unbanned rule");
-        match *job {
-            SearchJob::Whole { rule } => rules[rule].search(egraph, limit),
-            SearchJob::Chunk { rule, start, end } => {
-                // Cross-chunk truncation happens at merge time, but a chunk
-                // can still stop early: the merge consumes its matches in
-                // order, so anything beyond `limit` cumulative substitutions
-                // from one chunk could never survive the merged budget.
-                let mut found = 0;
-                let mut out = Vec::new();
-                for &id in &rule_ids(rule)[start..end] {
-                    if found >= limit {
-                        break;
-                    }
-                    let substs = rules[rule].search_class(egraph, id, limit - found);
-                    if !substs.is_empty() {
-                        found += substs.len();
-                        out.push(SearchMatches::new(id, substs));
-                    }
-                }
-                out
-            }
-        }
-    };
-    let results: Vec<Vec<SearchMatches<L>>> = if threads == 1 {
-        jobs.iter()
-            .map(|job| {
-                let span = trace.begin_args(format_args!("search/{}", rules[job.rule()].name()));
-                let found = run_job(job);
-                let n_matches: usize = found.iter().map(|m| m.len()).sum();
-                trace.end_with(span, &[("matches", n_matches as f64)]);
-                found
-            })
-            .collect()
-    } else {
-        let slots: Vec<OnceLock<Vec<SearchMatches<L>>>> =
-            jobs.iter().map(|_| OnceLock::new()).collect();
-        let next_job = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(jobs.len()) {
-                scope.spawn(|| loop {
-                    let i = next_job.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let _ = slots[i].set(run_job(job));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all jobs ran"))
-            .collect()
-    };
-
-    // Merge: jobs were created in (rule, ascending class) order, so a
-    // stable pass over the job list groups them correctly.
-    let mut merged: Vec<Vec<SearchMatches<L>>> = vec![Vec::new(); rules.len()];
-    let mut taken: Vec<usize> = vec![0; rules.len()];
-    for (job, result) in jobs.iter().zip(results) {
-        let rule = job.rule();
-        let limit = limits[rule].expect("job for unbanned rule");
-        for mut m in result {
-            // Stop as soon as the budget is reached, and clip the match
-            // set that crosses it.
-            if taken[rule] >= limit {
+) -> (usize, Vec<SearchMatches<L>>) {
+    let mut found = 0;
+    let mut out = Vec::new();
+    if !rule.can_search_per_class() {
+        for mut m in rule.search(egraph, limit) {
+            if found >= limit {
                 break;
             }
-            if taken[rule] + m.len() > limit {
-                m.truncate(limit - taken[rule]);
-            }
-            taken[rule] += m.len();
-            merged[rule].push(m);
+            m.truncate(limit - found);
+            found += m.len();
+            out.push(m);
+        }
+        return (class_ids.len(), out);
+    }
+    let own_ids = rule.candidate_class_ids(egraph);
+    let ids = own_ids.as_deref().unwrap_or(class_ids);
+    for &id in ids {
+        if found >= limit {
+            break;
+        }
+        let mut substs = rule.search_class(egraph, id, limit - found);
+        substs.truncate(limit - found);
+        if !substs.is_empty() {
+            found += substs.len();
+            out.push(SearchMatches::new(id, substs));
         }
     }
-    merged
+    (ids.len(), out)
 }
 
 impl<L: Language, A: Analysis<L>> std::fmt::Debug for Runner<L, A> {
@@ -672,67 +546,44 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_serial() {
-        use crate::BackoffScheduler;
+    fn match_budget_clips_every_rule_exactly() {
+        use crate::{BackoffScheduler, Pattern, Searcher, Var};
 
-        let build = || {
-            let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
-            let root = eg.add_expr(&"(+ (+ (+ a b) c) (+ d e))".parse().unwrap());
-            (eg, root)
-        };
-        let run = |threads: usize| {
-            let (eg, root) = build();
-            let mut runner = Runner::new(eg)
-                .with_root(root)
-                .with_iter_limit(6)
-                .with_scheduler(BackoffScheduler::new(5, 2))
-                .with_threads(threads);
-            runner.run(&[comm(), assoc()]);
-            runner
-        };
-        let serial = run(1);
-        for threads in [2, 4, 7] {
-            let parallel = run(threads);
-            assert_eq!(serial.iterations.len(), parallel.iterations.len());
-            for (s, p) in serial.iterations.iter().zip(&parallel.iterations) {
-                assert_eq!(s.n_nodes, p.n_nodes, "step {}", s.index);
-                assert_eq!(s.n_classes, p.n_classes, "step {}", s.index);
-                assert_eq!(s.applied, p.applied, "step {}", s.index);
-                assert_eq!(s.rebuild_unions, p.rebuild_unions, "step {}", s.index);
-                assert_eq!(s.search_candidates, p.search_candidates, "step {}", s.index);
-                assert_eq!(s.search_matches, p.search_matches, "step {}", s.index);
+        // A whole-graph searcher that ignores its limit: the runner clips
+        // its matches to the budget.
+        struct Unbounded(Pattern<SymbolLang>);
+        impl Searcher<SymbolLang, ()> for Unbounded {
+            fn search(
+                &self,
+                egraph: &EGraph<SymbolLang, ()>,
+                _: usize,
+            ) -> Vec<SearchMatches<SymbolLang>> {
+                Searcher::<SymbolLang, ()>::search(&self.0, egraph, usize::MAX)
             }
-            assert_eq!(serial.stop_reason, parallel.stop_reason);
-            parallel.egraph.assert_invariants();
+            fn bound_vars(&self) -> Vec<Var> {
+                Searcher::<SymbolLang, ()>::bound_vars(&self.0)
+            }
         }
-    }
-
-    #[test]
-    fn parallel_search_respects_match_limits() {
-        // A growing rule under a tight budget: the limit must clip the
-        // parallel merged match list exactly like one search thread's.
-        let grow = Rewrite::from_patterns("grow", "(+ ?x ?y)", "(+ (f ?x) ?y)");
-        let run = |threads: usize| {
-            let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
-            for name in ["a", "b", "c", "d", "e", "g"] {
-                let leaf = eg.add(SymbolLang::leaf(name));
-                let leaf2 = eg.add(SymbolLang::leaf("z"));
-                eg.add(SymbolLang::new("+", vec![leaf, leaf2]));
-            }
-            let mut runner = Runner::new(eg)
-                .with_iter_limit(4)
-                .with_scheduler(crate::BackoffScheduler::new(3, 1))
-                .with_threads(threads);
-            runner.run(std::slice::from_ref(&grow));
-            runner
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        let counts = |r: &Runner<SymbolLang, ()>| -> Vec<Vec<(String, usize)>> {
-            r.iterations.iter().map(|i| i.applied.clone()).collect()
-        };
-        assert_eq!(counts(&serial), counts(&parallel));
-        assert_eq!(serial.egraph.num_nodes(), parallel.egraph.num_nodes());
+        let lhs: Pattern<SymbolLang> = "(+ ?x ?y)".parse().unwrap();
+        let rhs: Pattern<SymbolLang> = "(+ (f ?x) ?y)".parse().unwrap();
+        let per_class = Rewrite::new("grow", lhs.clone(), rhs.clone());
+        let whole = Rewrite::new("grow-whole", Unbounded(lhs), rhs);
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        for name in ["a", "b", "c", "d", "e", "g"] {
+            let leaf = eg.add(SymbolLang::leaf(name));
+            let z = eg.add(SymbolLang::leaf("z"));
+            eg.add(SymbolLang::new("+", vec![leaf, z]));
+        }
+        let n_classes = eg.num_classes();
+        let mut runner = Runner::new(eg)
+            .with_iter_limit(1)
+            .with_scheduler(BackoffScheduler::new(4, 1));
+        runner.run(&[per_class, whole]);
+        // Six `+` classes match each rule; both stop at exactly four.
+        let it = &runner.iterations[0];
+        assert_eq!(it.searched, vec![(6, 4), (n_classes, 4)]);
+        assert_eq!(it.search_matches, 8);
+        assert_eq!(it.applied[0], ("grow".to_string(), 4));
     }
 
     #[test]
@@ -752,72 +603,62 @@ mod tests {
 
     #[test]
     fn traced_runs_are_bit_identical_and_spans_nest() {
-        let run = |recorder: Option<&Arc<liar_trace::Recorder>>, threads: usize| {
+        let run = |recorder: Option<&Arc<liar_trace::Recorder>>| {
             let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
             let root = eg.add_expr(&"(+ (+ (+ a b) c) (+ d e))".parse().unwrap());
             let mut runner = Runner::new(eg)
                 .with_root(root)
                 .with_iter_limit(4)
-                .with_scheduler(crate::BackoffScheduler::new(5, 2))
-                .with_threads(threads);
+                .with_scheduler(crate::BackoffScheduler::new(5, 2));
             if let Some(rec) = recorder {
                 runner = runner.with_trace(TraceSink::attached(rec, "saturation"));
             }
             runner.run(&[comm(), assoc()]);
             runner
         };
-        let plain = run(None, 1);
-        for threads in [1, 4] {
-            let rec = liar_trace::Recorder::new();
-            let traced = run(Some(&rec), threads);
-            assert_eq!(plain.stop_reason, traced.stop_reason, "{threads} threads");
-            assert_eq!(plain.iterations.len(), traced.iterations.len());
-            for (p, t) in plain.iterations.iter().zip(&traced.iterations) {
-                assert_eq!(p.n_nodes, t.n_nodes, "step {}", p.index);
-                assert_eq!(p.applied, t.applied, "step {}", p.index);
-                assert_eq!(p.search_matches, t.search_matches, "step {}", p.index);
-            }
+        let plain = run(None);
+        let rec = liar_trace::Recorder::new();
+        let traced = run(Some(&rec));
+        assert_eq!(plain.stop_reason, traced.stop_reason);
+        assert_eq!(plain.iterations.len(), traced.iterations.len());
+        for (p, t) in plain.iterations.iter().zip(&traced.iterations) {
+            assert_eq!(p.n_nodes, t.n_nodes, "step {}", p.index);
+            assert_eq!(p.applied, t.applied, "step {}", p.index);
+            assert_eq!(p.search_matches, t.search_matches, "step {}", p.index);
+        }
 
-            let events = rec.events();
-            let spans = |name: &str| {
-                events
-                    .iter()
-                    .filter(|e| e.kind == liar_trace::EventKind::Span && e.name == name)
-                    .count()
-            };
-            assert_eq!(spans("step"), traced.iterations.len());
-            assert_eq!(spans("search"), traced.iterations.len());
-            assert_eq!(spans("apply"), traced.iterations.len());
-            assert_eq!(spans("rebuild"), traced.iterations.len());
-            // Phase spans sit inside their step span.
-            let step = events.iter().find(|e| e.name == "step").unwrap();
-            for phase in ["search", "apply", "rebuild"] {
-                let p = events.iter().find(|e| e.name == phase).unwrap();
-                assert!(p.start_us >= step.start_us, "{phase} starts in step");
-                assert!(
-                    p.start_us + p.dur_us <= step.start_us + step.dur_us,
-                    "{phase} ends in step"
-                );
-            }
-            // Growth gauges sample every step, as counters not spans.
-            assert_eq!(spans("egraph/nodes"), 0);
-            let nodes = events
+        let events = rec.events();
+        let spans = |name: &str| {
+            events
                 .iter()
-                .filter(|e| {
-                    e.kind == liar_trace::EventKind::Counter && e.name == "egraph/nodes"
-                })
-                .count();
-            assert_eq!(nodes, traced.iterations.len());
-            // One search thread records per-rule search spans.
-            if threads == 1 {
-                assert!(
-                    events.iter().any(|e| e.name == "search/comm-add"),
-                    "per-rule search spans exist on one thread"
-                );
-            }
+                .filter(|e| e.kind == liar_trace::EventKind::Span && e.name == name)
+                .count()
+        };
+        assert_eq!(spans("step"), traced.iterations.len());
+        assert_eq!(spans("search"), traced.iterations.len());
+        assert_eq!(spans("apply"), traced.iterations.len());
+        assert_eq!(spans("rebuild"), traced.iterations.len());
+        // Phase spans sit inside their step span.
+        let step = events.iter().find(|e| e.name == "step").unwrap();
+        for phase in ["search", "apply", "rebuild"] {
+            let p = events.iter().find(|e| e.name == phase).unwrap();
+            assert!(p.start_us >= step.start_us, "{phase} starts in step");
             assert!(
-                events.iter().any(|e| e.name == "apply/comm-add"),
-                "per-rule apply spans exist at every thread count"
+                p.start_us + p.dur_us <= step.start_us + step.dur_us,
+                "{phase} ends in step"
+            );
+        }
+        // Growth gauges sample every step, as counters not spans.
+        assert_eq!(spans("egraph/nodes"), 0);
+        let nodes = events
+            .iter()
+            .filter(|e| e.kind == liar_trace::EventKind::Counter && e.name == "egraph/nodes")
+            .count();
+        assert_eq!(nodes, traced.iterations.len());
+        for rule in ["search/comm-add", "apply/comm-add"] {
+            assert!(
+                events.iter().any(|e| e.name == rule),
+                "per-rule span {rule}"
             );
         }
     }

@@ -14,9 +14,8 @@
 /// e-matching VM invocation the rule's remaining budget and truncates the
 /// (deduplicated) per-class substitution list, so a scheduler observes the
 /// same match counts whether rules run on the compiled VM, the legacy
-/// oracle matcher, or a custom searcher — and whether the search phase is
-/// serial or parallel. Ban decisions therefore fire at identical
-/// `(iteration, rule)` points across all engines.
+/// oracle matcher, or a custom searcher. Ban decisions therefore fire at
+/// identical `(iteration, rule)` points across all matchers.
 pub trait Scheduler {
     /// Maximum number of substitutions rule `rule_idx` may produce during
     /// `iteration`, or `None` when banned.

@@ -146,8 +146,7 @@ pub struct ClassData {
     /// Optimistic free-variable set (intersection over members).
     pub free: VarSet,
     /// Smallest known representative term. Shared with the representatives
-    /// of the classes it is built from, and read-only across the parallel
-    /// search phase's threads.
+    /// of the classes it is built from, and read-only during search.
     pub repr: Repr,
     /// Exact free-variable set of `repr` (the fast path for downshifts).
     pub repr_free: VarSet,
@@ -205,8 +204,8 @@ pub fn node_extent(
 /// patterns ask for the same `(class, k)` downshift of an open class many
 /// times while the e-graph is read-only, and each is computed once, on the
 /// first ask, and shared as an `Arc` by every later match. Any add or union
-/// clears it. It sits behind a `Mutex` (not a `RefCell`) so concurrent
-/// search workers share hits across threads.
+/// clears it. It sits behind a `Mutex` because search reads the analysis
+/// through a shared reference.
 #[derive(Debug, Default)]
 pub struct ArrayAnalysis {
     downshift_cache: Mutex<FxHashMap<(Id, u32), Downshifted>>,

@@ -57,6 +57,9 @@ pub use analysis::{ArrayAnalysis, ClassData, Repr};
 pub use debruijn::VarSet;
 pub use fingerprint::{ContentAddressed, ContentHash, StableHasher};
 pub use lang::{ArrayLang, LibFn, Num};
+/// The workspace's seeded generator, for crates that build on the IR
+/// without the e-graph engine (kernel input data).
+pub use liar_egraph::SplitMix64;
 
 /// A term of the array IR.
 pub type Expr = liar_egraph::RecExpr<ArrayLang>;

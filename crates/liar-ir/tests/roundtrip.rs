@@ -12,31 +12,11 @@
 //! * parse never panics on adversarial atoms (`nan` is an error, not a
 //!   `Num::new` panic).
 //!
-//! The generator is a seeded splitmix64 (the same construction the
-//! kernel-input generator uses) so failures reproduce bit-for-bit.
+//! The generator is the workspace's seeded [`SplitMix64`] (the one the
+//! kernel inputs draw from) so failures reproduce bit-for-bit.
 
-use liar_egraph::Language;
+use liar_egraph::{Language, SplitMix64};
 use liar_ir::{ArrayLang, ArrayPattern, ContentAddressed, Expr, LibFn, Num};
-
-// ---------------------------------------------------------------------------
-// Deterministic generator.
-
-/// splitmix64 (Steele et al., OOPSLA 2014).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 /// Floats whose textual formatting is worth stressing: negatives, huge
 /// and tiny magnitudes (Rust's `{}` never uses scientific notation, so
@@ -63,14 +43,14 @@ const FLOAT_POOL: [f64; 16] = [
 
 const SYM_POOL: [&str; 8] = ["xs", "A", "alpha", "x_1", "a.b", "v0", "Z9", "_tmp"];
 
-fn gen_leaf(rng: &mut Rng) -> Expr {
+fn gen_leaf(rng: &mut SplitMix64) -> Expr {
     let mut e = Expr::default();
     match rng.below(4) {
         0 => e.add(ArrayLang::Dim(rng.below(100))),
         1 => {
             let v = if rng.below(4) == 0 {
                 // A random finite bit pattern (NaN re-rolled to 1.0).
-                let bits = rng.next();
+                let bits = rng.next_u64();
                 let v = f64::from_bits(bits);
                 if v.is_nan() {
                     1.0
@@ -89,11 +69,11 @@ fn gen_leaf(rng: &mut Rng) -> Expr {
 }
 
 /// Generate a term; `depth` bounds nesting. Every constructor can appear.
-fn gen_expr(rng: &mut Rng, depth: usize) -> Expr {
+fn gen_expr(rng: &mut SplitMix64, depth: usize) -> Expr {
     if depth == 0 {
         return gen_leaf(rng);
     }
-    let child = |rng: &mut Rng| gen_expr(rng, depth - 1);
+    let child = |rng: &mut SplitMix64| gen_expr(rng, depth - 1);
     let mut out = Expr::default();
     let put = |out: &mut Expr, e: Expr| out.append_subtree(&e, e.root());
     match rng.below(16) {
@@ -187,7 +167,7 @@ fn assert_roundtrip(e: &Expr) {
 
 #[test]
 fn randomized_roundtrip_all_constructors() {
-    let mut rng = Rng(0x11a2_2024);
+    let mut rng = SplitMix64::new(0x11a2_2024);
     // Make sure the sweep actually exercises every constructor.
     let mut seen_call = [false; LibFn::ALL.len()];
     for i in 0..500 {

@@ -1,36 +1,29 @@
 //! Deterministic input generation for the kernels.
 
+use liar_ir::SplitMix64;
 use liar_runtime::{Tensor, Value};
 
 /// A seeded generator for kernel inputs.
 ///
-/// Uses an in-crate splitmix64 generator so that inputs are bit-for-bit
-/// reproducible across platforms and toolchains without any external
-/// dependency (the workspace builds offline).
+/// Draws from the workspace's [`SplitMix64`], so inputs are bit-for-bit
+/// reproducible across platforms and toolchains.
 #[derive(Debug)]
 pub struct DataGen {
-    state: u64,
+    rng: SplitMix64,
 }
 
 impl DataGen {
     /// Create a generator from a seed (same seed ⇒ same data).
     pub fn new(seed: u64) -> Self {
-        DataGen { state: seed }
-    }
-
-    /// The next raw 64-bit output (splitmix64; Steele et al., OOPSLA 2014).
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        DataGen {
+            rng: SplitMix64::new(seed),
+        }
     }
 
     /// The next uniform float in [-1, 1).
     fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits give a uniform value in [0, 1).
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         2.0 * unit - 1.0
     }
 

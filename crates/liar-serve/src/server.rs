@@ -78,9 +78,6 @@ pub struct ServerConfig {
     pub max_discount_scales: usize,
     /// Most jobs one worker drains per queue interaction.
     pub batch_max: usize,
-    /// E-matching threads inside each optimization (results are
-    /// bit-identical regardless; see `Liar::with_threads`).
-    pub search_threads: usize,
     /// Directory of the durable snapshot store (`liar serve --warm`).
     /// When set, every cold saturation persists its e-graph there, a
     /// restart answers repeat fingerprints by restore + extraction
@@ -122,7 +119,6 @@ impl Default for ServerConfig {
             max_node_limit: 1_000_000,
             max_discount_scales: 8,
             batch_max: 8,
-            search_threads: 1,
             warm_dir: None,
             trace_dir: None,
             introspect: true,
@@ -780,7 +776,6 @@ fn job_pipeline(
     let mut pipeline = Liar::new(lead_target)
         .with_iter_limit(steps)
         .with_node_limit(node_limit)
-        .with_threads(shared.config.search_threads)
         .with_explanations(explain)
         .with_profiles(profiles)
         .with_cache(Arc::clone(&shared.cache));

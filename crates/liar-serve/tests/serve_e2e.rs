@@ -289,6 +289,34 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_programs_get_parse_errors_and_the_daemon_survives() {
+    // 20,000 nested lambdas: 120 KB, well under the frame limit. The
+    // parser recurses once per level; without its depth cap this one
+    // request overflows the connection thread's stack and aborts the
+    // whole daemon.
+    let srv = server(ServerConfig::default());
+    let mut client = Client::connect(srv.local_addr()).expect("connect");
+    let depth = 20_000;
+    let program = format!("{}%0{}", "(lam ".repeat(depth), ")".repeat(depth));
+    let req = liar_serve::Request::Optimize(OptimizeRequest::new(program));
+    match client.request(&req).expect("the daemon replies") {
+        Response::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::ParseError);
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+
+    // The same server still answers a normal request.
+    let program = Kernel::Vsum.expr(Kernel::Vsum.search_size()).to_string();
+    let resp = client
+        .optimize(request_for(&program))
+        .expect("the daemon survived");
+    assert_eq!(resp.cache, "miss");
+    srv.shutdown();
+}
+
+#[test]
 fn machine_profiles_fan_out_solutions() {
     let srv = server(ServerConfig::default());
     let mut client = Client::connect(srv.local_addr()).expect("connect");

@@ -10,8 +10,8 @@
 //!    gate on [`TraceSink::on`] first.
 //! 2. **No perturbation of results.** The recorder only ever observes —
 //!    it never feeds back into search, scheduling, or extraction. The
-//!    repo's bit-identical determinism walls (parallel, semi-naive,
-//!    snapshot) run with tracing on and off to enforce this.
+//!    repo's bit-identical determinism walls run with tracing on and off
+//!    to enforce this.
 //! 3. **Deterministic flush order.** Events are buffered in per-thread
 //!    [`TraceSink`]s (lock-free appends) and merged at flush in *lane
 //!    registration order*, preserving per-lane append order — never by

@@ -2,9 +2,8 @@
 //! or run the optimization service.
 //!
 //! ```text
-//! # Optimize an expression for a target and show the per-step solutions
-//! # (--threads N parallelizes e-matching; results are bit-identical):
-//! liar optimize --target blas --threads 4 '(ifold #64 0 (lam (lam (+ (get xs %1) %0))))'
+//! # Optimize an expression for a target and show the per-step solutions:
+//! liar optimize --target blas '(ifold #64 0 (lam (lam (+ (get xs %1) %0))))'
 //!
 //! # Saturate ONCE and extract for every target from the same e-graph:
 //! liar optimize --all-targets '(ifold #64 0 (lam (lam (+ (get xs %1) %0))))'
@@ -163,7 +162,7 @@ fn parse_flags(spec: &CommandSpec, args: &[String]) -> Result<Parsed, String> {
 // ---------------------------------------------------------------------------
 // Shared flag groups and helpers.
 
-const TARGET_FLAGS: [FlagSpec; 9] = [
+const TARGET_FLAGS: [FlagSpec; 8] = [
     FlagSpec {
         name: "--verbose",
         metavar: None,
@@ -193,11 +192,6 @@ const TARGET_FLAGS: [FlagSpec; 9] = [
         name: "--steps",
         metavar: Some("N"),
         help: "saturation-step limit (default 8)",
-    },
-    FlagSpec {
-        name: "--threads",
-        metavar: Some("N"),
-        help: "e-matching worker threads (results are bit-identical)",
     },
     FlagSpec {
         name: "--profile",
@@ -302,11 +296,10 @@ fn report(
     expr: &Expr,
     target: Target,
     steps: usize,
-    threads: usize,
     verbose: bool,
     recorder: Option<&Arc<Recorder>>,
 ) {
-    let mut pipeline = Liar::new(target).with_iter_limit(steps).with_threads(threads);
+    let mut pipeline = Liar::new(target).with_iter_limit(steps);
     if let Some(rec) = recorder {
         pipeline = pipeline.with_trace(Arc::clone(rec));
     }
@@ -329,8 +322,7 @@ fn report(
 }
 
 /// Sum per-rule self-time (µs) from a recorder's `search/<rule>` and
-/// `apply/<rule>` spans. Per-rule *search* spans exist only with one
-/// search thread; apply spans are recorded either way.
+/// `apply/<rule>` spans.
 fn rule_self_times(recorder: &Recorder) -> std::collections::BTreeMap<String, u64> {
     let events = recorder.events();
     let mut by_rule: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -382,13 +374,11 @@ fn report_multi(
     expr: &Expr,
     targets: &[Target],
     steps: usize,
-    threads: usize,
     profiles: Vec<MachineProfile>,
     recorder: Option<&Arc<Recorder>>,
 ) -> Result<(), String> {
     let mut pipeline = Liar::new(targets[0])
         .with_iter_limit(steps)
-        .with_threads(threads)
         .with_profiles(profiles);
     if let Some(rec) = recorder {
         pipeline = pipeline.with_trace(Arc::clone(rec));
@@ -443,14 +433,11 @@ fn report_extract(
     expr: &Expr,
     targets: &[Target],
     steps: usize,
-    threads: usize,
     profiles: &[MachineProfile],
     kind: ExtractorKind,
     recorder: Option<&Arc<Recorder>>,
 ) -> Result<(), String> {
-    let mut pipeline = Liar::new(targets[0])
-        .with_iter_limit(steps)
-        .with_threads(threads);
+    let mut pipeline = Liar::new(targets[0]).with_iter_limit(steps);
     if let Some(rec) = recorder {
         pipeline = pipeline.with_trace(Arc::clone(rec));
     }
@@ -533,8 +520,7 @@ fn run_optimize(p: &Parsed) -> Result<ExitCode, String> {
         .parse()
         .map_err(|e| format!("parse error: {e}"))?;
     let steps = p.usize_or("--steps", 8)?;
-    let threads = p.usize_or("--threads", 1)?;
-    run_optimization(p, &expr, steps, threads)?;
+    run_optimization(p, &expr, steps)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -542,7 +528,7 @@ fn run_optimize(p: &Parsed) -> Result<ExitCode, String> {
 /// report in single-target mode, the multi-extraction report otherwise —
 /// `--profile` and `--extractor` imply the multi machinery even for a
 /// single target.
-fn run_optimization(p: &Parsed, expr: &Expr, steps: usize, threads: usize) -> Result<(), String> {
+fn run_optimization(p: &Parsed, expr: &Expr, steps: usize) -> Result<(), String> {
     let profiles = parse_profiles(p)?;
     let extractor = parse_extractor(p)?;
     let targets = match multi_targets(p)? {
@@ -558,19 +544,10 @@ fn run_optimization(p: &Parsed, expr: &Expr, steps: usize, threads: usize) -> Re
     let recorder = (trace_path.is_some() || verbose).then(Recorder::new);
     match (targets, extractor) {
         (Some(targets), Some(kind)) => {
-            report_extract(expr, &targets, steps, threads, &profiles, kind, recorder.as_ref())?
+            report_extract(expr, &targets, steps, &profiles, kind, recorder.as_ref())?
         }
-        (Some(targets), None) => {
-            report_multi(expr, &targets, steps, threads, profiles, recorder.as_ref())?
-        }
-        (None, _) => report(
-            expr,
-            single_target(p)?,
-            steps,
-            threads,
-            verbose,
-            recorder.as_ref(),
-        ),
+        (Some(targets), None) => report_multi(expr, &targets, steps, profiles, recorder.as_ref())?,
+        (None, _) => report(expr, single_target(p)?, steps, verbose, recorder.as_ref()),
     }
     if let Some(path) = trace_path {
         let rec = recorder.as_ref().expect("--trace implies a recorder");
@@ -592,9 +569,8 @@ fn run_kernel(p: &Parsed) -> Result<ExitCode, String> {
     let kernel = kernel_arg(p)?;
     let expr = kernel.expr(kernel.search_size());
     let steps = p.usize_or("--steps", 8)?;
-    let threads = p.usize_or("--threads", 1)?;
     println!("kernel {}: {}\n", kernel.name(), kernel.description());
-    run_optimization(p, &expr, steps, threads)?;
+    run_optimization(p, &expr, steps)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -606,14 +582,12 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
     let kernel = kernel_arg(p)?;
     let target = single_target(p)?;
     let steps = p.usize_or("--steps", 8)?;
-    let threads = p.usize_or("--threads", 1)?;
     let top = p.usize_or("--top", 15)?;
     let expr = kernel.expr(kernel.search_size());
 
     let recorder = Recorder::new();
     let pipeline = Liar::new(target)
         .with_iter_limit(steps)
-        .with_threads(threads)
         .with_trace(Arc::clone(&recorder));
     let report = pipeline
         .optimize_multi(&expr, &[target], &[1.0])
@@ -705,9 +679,6 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
         report.stop_reason,
     );
     println!("solution: {}", report.solutions[0].solution_summary());
-    if threads > 1 {
-        println!("note: per-rule search spans are recorded with one search thread only");
-    }
 
     println!("\n{:<28} {:>7} {:>12} {:>12}", "phase", "count", "total ms", "self ms");
     for r in rows.iter().filter(|r| !is_rule(&r.name)) {
@@ -791,13 +762,11 @@ fn run_inspect(p: &Parsed) -> Result<ExitCode, String> {
     let (label, expr) = kernel_or_expr(p)?;
     let targets = multi_targets(p)?.unwrap_or_else(|| Target::ALL.to_vec());
     let steps = p.usize_or("--steps", 8)?;
-    let threads = p.usize_or("--threads", 1)?;
     let top = p.usize_or("--top", 20)?;
 
-    let pipeline = Liar::new(targets[0])
+    let report = Liar::new(targets[0])
         .with_iter_limit(steps)
-        .with_threads(threads);
-    let report = pipeline.inspect(&expr, &targets);
+        .inspect(&expr, &targets);
     // The conservation invariant is the whole point of the ledger: a
     // violation is a bug worth a non-zero exit, not a footnote.
     report
@@ -833,9 +802,8 @@ fn run_explain(p: &Parsed) -> Result<ExitCode, String> {
     let (label, expr) = kernel_or_expr(p)?;
     let target = single_target(p)?;
     let steps = p.usize_or("--steps", 8)?;
-    let threads = p.usize_or("--threads", 1)?;
 
-    let pipeline = Liar::new(target).with_iter_limit(steps).with_threads(threads);
+    let pipeline = Liar::new(target).with_iter_limit(steps);
     let (report, proof) = pipeline.optimize_explained(&expr);
     let best = &report.best().best;
     println!("explain {label} (target {target}, {} steps)", report.steps.len() - 1);
@@ -946,7 +914,6 @@ fn run_serve(p: &Parsed) -> Result<ExitCode, String> {
     config.cache_bytes = p.usize_or("--cache-mb", config.cache_bytes >> 20)? << 20;
     config.default_steps = p.usize_or("--steps", config.default_steps)?;
     config.max_steps = p.usize_or("--max-steps", config.max_steps)?;
-    config.search_threads = p.usize_or("--threads", config.search_threads)?;
     config.warm_dir = p.value("--warm").map(std::path::PathBuf::from);
     config.trace_dir = p.value("--trace-dir").map(std::path::PathBuf::from);
     let prewarm = config.warm_dir.is_some() && !p.has("--no-prewarm");
@@ -1240,11 +1207,6 @@ const COMMANDS: &[CommandSpec] = &[
                 help: "saturation-step limit (default 8)",
             },
             FlagSpec {
-                name: "--threads",
-                metavar: Some("N"),
-                help: "e-matching worker threads (per-rule search spans need 1)",
-            },
-            FlagSpec {
                 name: "--top",
                 metavar: Some("N"),
                 help: "rows in the per-rule table (default 15)",
@@ -1281,11 +1243,6 @@ const COMMANDS: &[CommandSpec] = &[
                 name: "--steps",
                 metavar: Some("N"),
                 help: "saturation-step limit (default 8)",
-            },
-            FlagSpec {
-                name: "--threads",
-                metavar: Some("N"),
-                help: "e-matching worker threads (tables are thread-invariant)",
             },
             FlagSpec {
                 name: "--top",
@@ -1344,11 +1301,6 @@ const COMMANDS: &[CommandSpec] = &[
                 name: "--steps",
                 metavar: Some("N"),
                 help: "saturation-step limit (default 8)",
-            },
-            FlagSpec {
-                name: "--threads",
-                metavar: Some("N"),
-                help: "e-matching worker threads",
             },
         ],
         run: run_explain,
@@ -1410,11 +1362,6 @@ const COMMANDS: &[CommandSpec] = &[
                 name: "--max-steps",
                 metavar: Some("N"),
                 help: "ceiling on a request's steps (default 24)",
-            },
-            FlagSpec {
-                name: "--threads",
-                metavar: Some("N"),
-                help: "e-matching threads per optimization (default 1)",
             },
             FlagSpec {
                 name: "--warm",

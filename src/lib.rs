@@ -18,7 +18,6 @@
 //!
 //! let report = Liar::new(Target::Blas)
 //!     .with_iter_limit(6) // saturation steps
-//!     .with_threads(2)    // parallel e-matching; bit-identical results
 //!     .optimize(&vsum);
 //!
 //! // LIAR derives sum(v) = dot(v, fill(1)) by equational reasoning.

@@ -158,9 +158,18 @@ fn help_lists_commands_and_flags() {
     let out = liar(&["help", "optimize"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for flag in ["--target", "--targets", "--all-targets", "--steps", "--threads"] {
+    for flag in ["--target", "--targets", "--all-targets", "--steps"] {
         assert!(stdout.contains(flag), "optimize help missing {flag}: {stdout}");
     }
+    // Search runs on one thread: there is no thread-count flag.
+    assert!(
+        !stdout.contains("--threads"),
+        "optimize help lists --threads: {stdout}"
+    );
+    let out = liar(&["kernel", "gemv", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown flag --threads"), "{stderr}");
     // `help` with no command behaves like --help and exits 0; a bare
     // `liar` prints the same text but exits 2 (it did not do anything).
     assert!(liar(&["help"]).status.success());

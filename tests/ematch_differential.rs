@@ -9,7 +9,7 @@
 use liar::core::rules::{named_rulesets, rules_for, RuleConfig, Target};
 use liar::core::TargetCost;
 use liar::egraph::{
-    BackoffScheduler, Binding, Extractor, Pattern, Rewrite, Runner, Subst, SymbolLang,
+    BackoffScheduler, Binding, Extractor, Pattern, Rewrite, Runner, SplitMix64, Subst, SymbolLang,
 };
 use liar::ir::{dsl, ArrayAnalysis, ArrayEGraph, ArrayLang, Expr};
 use liar::kernels::Kernel;
@@ -253,25 +253,6 @@ fn shift_patterns_differential() {
     assert!(any_expr, "no Expr bindings produced by shift patterns");
 }
 
-/// Deterministic splitmix64 generator (same construction the kernel-data
-/// module uses) so the randomized differential below needs no external
-/// crates and reproduces bit-for-bit.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Build a random SymbolLang term as an s-expression.
 fn random_term(rng: &mut SplitMix64, depth: usize) -> String {
     let leaves = ["a", "b", "c", "d"];
@@ -324,7 +305,7 @@ fn random_pattern(rng: &mut SplitMix64, depth: usize) -> String {
 /// further with shrinking when the `proptest` feature is enabled.
 #[test]
 fn randomized_symbol_lang_differential() {
-    let mut rng = SplitMix64(0xC60_2024);
+    let mut rng = SplitMix64::new(0xC60_2024);
     let mut total_matches = 0usize;
     for round in 0..60 {
         let mut eg: liar::egraph::EGraph<SymbolLang, ()> = Default::default();

@@ -1,10 +1,9 @@
 //! The tracing + attribution wall: attaching a
 //! [`liar::trace::Recorder`] or enabling the growth-attribution ledger
 //! is strictly observational — reports, solutions and proofs are
-//! **bit-identical** with the observer on or off, under both the serial
-//! and parallel search engines. If these break, profiling (or
-//! inspecting) a run changes what LIAR discovers, and every measurement
-//! is suspect.
+//! **bit-identical** with the observer on or off. If these break,
+//! profiling (or inspecting) a run changes what LIAR discovers, and every
+//! measurement is suspect.
 //!
 //! Also pins the export contract the acceptance criteria name: the
 //! Chrome trace-event JSON parses (with the repo's own parser) and its
@@ -16,18 +15,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use liar::core::{
-    CacheStatus, InspectReport, Liar, MultiReport, OptimizationReport, SnapshotStore, Target,
-};
+use liar::core::{CacheStatus, Liar, MultiReport, OptimizationReport, SnapshotStore, Target};
 use liar::ir::Expr;
 use liar::kernels::Kernel;
 use liar::serve::json::{self, Json};
 use liar::trace::{Event, EventKind, Recorder};
 
-fn optimize(expr: &Expr, threads: usize, trace: Option<&Arc<Recorder>>) -> OptimizationReport {
-    let mut pipeline = Liar::new(Target::Blas)
-        .with_iter_limit(6)
-        .with_threads(threads);
+fn optimize(expr: &Expr, trace: Option<&Arc<Recorder>>) -> OptimizationReport {
+    let mut pipeline = Liar::new(Target::Blas).with_iter_limit(6);
     if let Some(rec) = trace {
         pipeline = pipeline.with_trace(Arc::clone(rec));
     }
@@ -56,17 +51,15 @@ fn assert_reports_identical(plain: &OptimizationReport, traced: &OptimizationRep
 fn tracing_is_invisible_to_single_target_reports() {
     for kernel in [Kernel::Vsum, Kernel::Gemv] {
         let expr = kernel.expr(kernel.search_size());
-        for threads in [1, 4] {
-            let ctx = format!("{} @ {threads} threads", kernel.name());
-            let plain = optimize(&expr, threads, None);
-            let rec = Recorder::new();
-            let traced = optimize(&expr, threads, Some(&rec));
-            assert_reports_identical(&plain, &traced, &ctx);
-            // The traced run actually recorded something.
-            let events = rec.events();
-            assert!(events.iter().any(|e| e.name == "step"), "{ctx}: no step spans");
-            assert!(events.iter().any(|e| e.name == "rebuild"), "{ctx}: no rebuild spans");
-        }
+        let ctx = kernel.name();
+        let plain = optimize(&expr, None);
+        let rec = Recorder::new();
+        let traced = optimize(&expr, Some(&rec));
+        assert_reports_identical(&plain, &traced, ctx);
+        // The traced run actually recorded something.
+        let events = rec.events();
+        assert!(events.iter().any(|e| e.name == "step"), "{ctx}: no step spans");
+        assert!(events.iter().any(|e| e.name == "rebuild"), "{ctx}: no rebuild spans");
     }
 }
 
@@ -115,7 +108,7 @@ fn assert_one_reconciled_lane(rec: &Recorder, lanes_before: usize, steps: bool, 
 fn each_pipeline_call_traces_one_lane_whose_self_times_reconcile() {
     let expr = Kernel::Gemv.expr(Kernel::Gemv.search_size());
     let rec = Recorder::new();
-    optimize(&expr, 1, Some(&rec));
+    optimize(&expr, Some(&rec));
     assert_one_reconciled_lane(&rec, 0, true, "optimize");
 
     let dir = std::env::temp_dir().join(format!("liar-trace-lanes-{}", std::process::id()));
@@ -136,10 +129,9 @@ fn each_pipeline_call_traces_one_lane_whose_self_times_reconcile() {
     std::fs::remove_dir_all(&dir).expect("store directory removed");
 }
 
-fn optimize_multi(expr: &Expr, threads: usize, trace: Option<&Arc<Recorder>>) -> MultiReport {
+fn optimize_multi(expr: &Expr, trace: Option<&Arc<Recorder>>) -> MultiReport {
     let mut pipeline = Liar::new(Target::Blas)
         .with_iter_limit(6)
-        .with_threads(threads)
         .with_explanations(true);
     if let Some(rec) = trace {
         pipeline = pipeline.with_trace(Arc::clone(rec));
@@ -152,53 +144,50 @@ fn optimize_multi(expr: &Expr, threads: usize, trace: Option<&Arc<Recorder>>) ->
 #[test]
 fn tracing_is_invisible_to_multi_solutions_and_proofs() {
     let expr = Kernel::Gemv.expr(Kernel::Gemv.search_size());
-    for threads in [1, 4] {
-        let ctx = format!("gemv @ {threads} threads");
-        let plain = optimize_multi(&expr, threads, None);
-        let rec = Recorder::new();
-        let traced = optimize_multi(&expr, threads, Some(&rec));
+    let ctx = "gemv";
+    let plain = optimize_multi(&expr, None);
+    let rec = Recorder::new();
+    let traced = optimize_multi(&expr, Some(&rec));
 
-        assert_eq!(plain.stop_reason, traced.stop_reason, "{ctx}");
-        assert_eq!(plain.n_nodes, traced.n_nodes, "{ctx}");
-        assert_eq!(plain.n_classes, traced.n_classes, "{ctx}");
-        assert_eq!(plain.solutions.len(), traced.solutions.len(), "{ctx}");
-        for (a, b) in plain.solutions.iter().zip(&traced.solutions) {
-            let t = a.target.name();
-            assert_eq!(a.target, b.target, "{ctx}");
-            assert_eq!(a.profile, b.profile, "{ctx}: {t}");
-            assert_eq!(a.best, b.best, "{ctx}: {t} best expression");
-            assert_eq!(a.cost, b.cost, "{ctx}: {t} cost");
-            assert_eq!(a.dag_best, b.dag_best, "{ctx}: {t} DAG expression");
-            assert_eq!(a.dag_cost, b.dag_cost, "{ctx}: {t} DAG cost");
-            assert_eq!(a.lib_calls, b.lib_calls, "{ctx}: {t} library calls");
-            assert_eq!(a.stats, b.stats, "{ctx}: {t} extraction statistics");
-            match (&a.proof, &b.proof) {
-                (Some(p), Some(q)) => {
-                    assert_eq!(p.source, q.source, "{ctx}: {t} proof source");
-                    assert_eq!(p.target, q.target, "{ctx}: {t} proof target");
-                    assert_eq!(p.steps, q.steps, "{ctx}: {t} proof steps");
-                }
-                _ => panic!("{ctx}: {t}: explanations were on — proofs expected on both"),
+    assert_eq!(plain.stop_reason, traced.stop_reason, "{ctx}");
+    assert_eq!(plain.n_nodes, traced.n_nodes, "{ctx}");
+    assert_eq!(plain.n_classes, traced.n_classes, "{ctx}");
+    assert_eq!(plain.solutions.len(), traced.solutions.len(), "{ctx}");
+    for (a, b) in plain.solutions.iter().zip(&traced.solutions) {
+        let t = a.target.name();
+        assert_eq!(a.target, b.target, "{ctx}");
+        assert_eq!(a.profile, b.profile, "{ctx}: {t}");
+        assert_eq!(a.best, b.best, "{ctx}: {t} best expression");
+        assert_eq!(a.cost, b.cost, "{ctx}: {t} cost");
+        assert_eq!(a.dag_best, b.dag_best, "{ctx}: {t} DAG expression");
+        assert_eq!(a.dag_cost, b.dag_cost, "{ctx}: {t} DAG cost");
+        assert_eq!(a.lib_calls, b.lib_calls, "{ctx}: {t} library calls");
+        assert_eq!(a.stats, b.stats, "{ctx}: {t} extraction statistics");
+        match (&a.proof, &b.proof) {
+            (Some(p), Some(q)) => {
+                assert_eq!(p.source, q.source, "{ctx}: {t} proof source");
+                assert_eq!(p.target, q.target, "{ctx}: {t} proof target");
+                assert_eq!(p.steps, q.steps, "{ctx}: {t} proof steps");
             }
+            _ => panic!("{ctx}: {t}: explanations were on — proofs expected on both"),
         }
-
-        // The traced run covered all three layers of the pipeline taxonomy.
-        let events = rec.events();
-        let has = |name: &str| events.iter().any(|e| e.name == name);
-        assert!(has("saturate"), "{ctx}: no saturate span");
-        assert!(has("extract/flatten"), "{ctx}: no flatten span");
-        assert!(has("extract/blas"), "{ctx}: no blas extraction span");
-        assert!(
-            events.iter().any(|e| e.name.starts_with("explain/")),
-            "{ctx}: no explain span"
-        );
     }
+
+    // The traced run covered all three layers of the pipeline taxonomy.
+    let events = rec.events();
+    let has = |name: &str| events.iter().any(|e| e.name == name);
+    assert!(has("saturate"), "{ctx}: no saturate span");
+    assert!(has("extract/flatten"), "{ctx}: no flatten span");
+    assert!(has("extract/blas"), "{ctx}: no blas extraction span");
+    assert!(
+        events.iter().any(|e| e.name.starts_with("explain/")),
+        "{ctx}: no explain span"
+    );
 }
 
-fn optimize_multi_attributed(expr: &Expr, threads: usize, attribution: bool) -> MultiReport {
+fn optimize_multi_attributed(expr: &Expr, attribution: bool) -> MultiReport {
     Liar::new(Target::Blas)
         .with_iter_limit(6)
-        .with_threads(threads)
         .with_explanations(true)
         .with_attribution(attribution)
         .optimize_multi(expr, &[Target::Blas, Target::Torch], &[1.0])
@@ -242,64 +231,38 @@ fn assert_multi_semantically_identical(a: &MultiReport, b: &MultiReport, ctx: &s
 fn attribution_is_invisible_to_reports_solutions_and_proofs() {
     for kernel in [Kernel::Vsum, Kernel::Gemv] {
         let expr = kernel.expr(kernel.search_size());
-        for threads in [1, 4] {
-            let ctx = format!("{} @ {threads} threads", kernel.name());
-            let off = optimize_multi_attributed(&expr, threads, false);
-            let on = optimize_multi_attributed(&expr, threads, true);
+        let ctx = kernel.name();
+        let off = optimize_multi_attributed(&expr, false);
+        let on = optimize_multi_attributed(&expr, true);
 
-            assert_multi_semantically_identical(&off, &on, &ctx);
-            assert!(off.inspect.is_none(), "{ctx}: ledger off but tables present");
-            let inspect = on.inspect.as_ref().unwrap_or_else(|| {
-                panic!("{ctx}: ledger on but no tables")
-            });
-            inspect.check().unwrap_or_else(|e| {
-                panic!("{ctx}: conservation violated: {e}")
-            });
-            // The tables describe the same e-graph the report does.
-            assert_eq!(inspect.n_nodes, on.n_nodes, "{ctx}");
-            assert_eq!(inspect.n_classes, on.n_classes, "{ctx}");
-        }
+        assert_multi_semantically_identical(&off, &on, ctx);
+        assert!(off.inspect.is_none(), "{ctx}: ledger off but tables present");
+        let inspect = on
+            .inspect
+            .as_ref()
+            .unwrap_or_else(|| panic!("{ctx}: ledger on but no tables"));
+        inspect
+            .check()
+            .unwrap_or_else(|e| panic!("{ctx}: conservation violated: {e}"));
+        // The tables describe the same e-graph the report does.
+        assert_eq!(inspect.n_nodes, on.n_nodes, "{ctx}");
+        assert_eq!(inspect.n_classes, on.n_classes, "{ctx}");
     }
-}
-
-#[test]
-fn attribution_tables_are_bit_identical_serial_vs_parallel() {
-    let expr = Kernel::Gemv.expr(Kernel::Gemv.search_size());
-    let serial = optimize_multi_attributed(&expr, 1, true);
-    let parallel = optimize_multi_attributed(&expr, 4, true);
-    assert_multi_semantically_identical(&serial, &parallel, "gemv serial vs parallel");
-    // `InspectReport` has no wall-clock fields: the tables must be
-    // bit-identical across engines.
-    assert_eq!(
-        serial.inspect, parallel.inspect,
-        "attribution tables diverge across engines"
-    );
 }
 
 #[test]
 fn conservation_holds_on_every_kernel_under_the_union_ruleset() {
     for kernel in Kernel::ALL {
         let expr = kernel.expr(kernel.search_size());
-        let inspect_at = |threads: usize| -> InspectReport {
-            Liar::new(Target::Blas)
-                .with_iter_limit(6)
-                .with_threads(threads)
-                .inspect(&expr, &Target::ALL)
-        };
-        let serial = inspect_at(1);
-        serial.check().unwrap_or_else(|e| {
-            panic!("{}: conservation violated (serial): {e}", kernel.name())
-        });
-        let parallel = inspect_at(4);
-        assert_eq!(
-            serial,
-            parallel,
-            "{}: tables diverge serial vs parallel",
-            kernel.name()
-        );
+        let report = Liar::new(Target::Blas)
+            .with_iter_limit(6)
+            .inspect(&expr, &Target::ALL);
+        report
+            .check()
+            .unwrap_or_else(|e| panic!("{}: conservation violated: {e}", kernel.name()));
         // Attribution charged real work, not just the initial program.
         assert!(
-            serial.total_nodes_created() > 0 && serial.rule("(init)").is_some(),
+            report.total_nodes_created() > 0 && report.rule("(init)").is_some(),
             "{}: empty ledger",
             kernel.name()
         );
