@@ -515,11 +515,6 @@ impl Liar {
         self
     }
 
-    /// The attached durable snapshot store, if any.
-    pub fn snapshot_store(&self) -> Option<&Arc<SnapshotStore>> {
-        self.store.as_ref()
-    }
-
     /// Attach a trace recorder ([`liar_trace::Recorder`]): every pipeline
     /// call emits hierarchical spans (`saturate`, `extract/<target>`,
     /// `snapshot/save`, `explain/<target>`, …) on one `pipeline` lane,
@@ -536,11 +531,6 @@ impl Liar {
     pub fn with_trace(mut self, recorder: Arc<Recorder>) -> Self {
         self.trace = Some(recorder);
         self
-    }
-
-    /// The attached trace recorder, if any.
-    pub fn trace_recorder(&self) -> Option<&Arc<Recorder>> {
-        self.trace.as_ref()
     }
 
     /// Enable growth attribution: the saturation e-graph keeps an
@@ -560,11 +550,6 @@ impl Liar {
         self
     }
 
-    /// Whether growth attribution is enabled.
-    pub fn attribution_enabled(&self) -> bool {
-        self.attribution
-    }
-
     /// Attach a flight recorder ([`liar_trace::FlightRecorder`]): the
     /// pipeline and its runners record notable events into the bounded
     /// ring — rules firing and being banned, budget truncations, cache
@@ -574,11 +559,6 @@ impl Liar {
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
         self.flight = Some(flight);
         self
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
     }
 
     /// The one trace lane of a pipeline call — inert when no recorder is

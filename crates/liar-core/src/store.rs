@@ -169,10 +169,9 @@ impl SnapshotStore {
     }
 }
 
-/// The stable wire name of a stop reason (its `Display` form). Public so
-/// protocol layers shipping snapshots between nodes can reuse the exact
-/// names the store files use.
-pub fn stop_reason_name(reason: &StopReason) -> &'static str {
+/// The stable name of a stop reason in a store file's header (its
+/// `Display` form).
+fn stop_reason_name(reason: &StopReason) -> &'static str {
     match reason {
         StopReason::Saturated => "saturated",
         StopReason::IterationLimit => "iteration limit",
@@ -181,9 +180,9 @@ pub fn stop_reason_name(reason: &StopReason) -> &'static str {
     }
 }
 
-/// Parse a stop reason back from its wire name
+/// Parse a stop reason back from its header name
 /// ([`stop_reason_name`]'s inverse).
-pub fn stop_reason_from_name(name: &str) -> Option<StopReason> {
+fn stop_reason_from_name(name: &str) -> Option<StopReason> {
     Some(match name {
         "saturated" => StopReason::Saturated,
         "iteration limit" => StopReason::IterationLimit,

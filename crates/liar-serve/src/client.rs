@@ -7,8 +7,7 @@ use std::time::Duration;
 
 use crate::protocol::{
     read_frame, write_frame, FrameError, IntrospectResponse, MetricsResponse, OptimizeRequest,
-    OptimizeResponse, Request, Response, RestoreRequest, RestoreResponse, SnapshotRequest,
-    SnapshotResponse, StatsResponse,
+    OptimizeResponse, Request, Response, StatsResponse,
 };
 
 /// Response-size cap on the client side. Responses echo the best
@@ -152,50 +151,6 @@ impl Client {
     pub fn explain(&mut self, mut req: OptimizeRequest) -> Result<OptimizeResponse, ClientError> {
         req.explain = true;
         self.optimize(req)
-    }
-
-    /// Fetch the stored e-graph snapshot for a request fingerprint (the
-    /// `fingerprint` field of an earlier optimize response), ready to
-    /// ship to another node with [`Client::restore`]. The server must
-    /// have a warm store attached.
-    pub fn snapshot(&mut self, fingerprint: impl Into<String>) -> Result<SnapshotResponse, ClientError> {
-        let req = SnapshotRequest {
-            id: None,
-            fingerprint: fingerprint.into(),
-        };
-        match self.request(&Request::Snapshot(req))? {
-            Response::Snapshot(r) => Ok(r),
-            Response::Error { code, message, .. } => Err(ClientError::Server {
-                code: code.name().to_string(),
-                message,
-            }),
-            other => Err(ClientError::BadResponse(format!(
-                "expected a snapshot response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Ship a snapshot (typically from [`Client::snapshot`] against
-    /// another node) into this server's warm store. The server restores
-    /// the bytes before persisting, so a corrupt snapshot is rejected
-    /// with a `bad-snapshot` error and the store is untouched.
-    pub fn restore(&mut self, snapshot: &SnapshotResponse) -> Result<RestoreResponse, ClientError> {
-        let req = RestoreRequest {
-            id: None,
-            fingerprint: snapshot.fingerprint.clone(),
-            stop_reason: snapshot.stop_reason.clone(),
-            snapshot_hex: snapshot.snapshot_hex.clone(),
-        };
-        match self.request(&Request::Restore(req))? {
-            Response::Restored(r) => Ok(r),
-            Response::Error { code, message, .. } => Err(ClientError::Server {
-                code: code.name().to_string(),
-                message,
-            }),
-            other => Err(ClientError::BadResponse(format!(
-                "expected a restore acknowledgement, got {other:?}"
-            ))),
-        }
     }
 
     /// Fetch the service + cache counters.

@@ -11,9 +11,12 @@
 //! identical in-flight requests ([`server`]).
 //!
 //! See `docs/SERVING.md` for the protocol specification, cache
-//! semantics and capacity knobs; the `liar serve` / `liar submit` CLI
-//! subcommands and the `cargo bench -p liar-bench --bench serve`
-//! loopback benchmark are built on this crate.
+//! semantics and the [`ServerConfig`] settings; the `liar serve` /
+//! `liar submit` / `liar stats` CLI subcommands and the
+//! `cargo bench -p liar-bench --bench serve` loopback benchmark are
+//! built on this crate. With [`ServerConfig::warm_dir`] set, saturated
+//! e-graphs also persist to a durable snapshot store, so a restarted
+//! daemon answers repeats `"cache":"warm"` without saturating.
 //!
 //! # In-process quickstart
 //!
@@ -49,7 +52,6 @@ pub mod server;
 pub use client::{Client, ClientError};
 pub use protocol::{
     ErrorCode, IntrospectResponse, MetricsResponse, OptimizeRequest, OptimizeResponse, ProofMsg,
-    ProofStepMsg, Request, Response, RestoreRequest, RestoreResponse, SnapshotRequest,
-    SnapshotResponse, SolutionMsg, StatsResponse,
+    ProofStepMsg, Request, Response, SolutionMsg, StatsResponse,
 };
 pub use server::{Server, ServerConfig};

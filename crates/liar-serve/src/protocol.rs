@@ -291,18 +291,6 @@ pub enum ErrorCode {
     BadFrame,
     /// The server is shutting down.
     ShuttingDown,
-    /// The server has no durable snapshot store attached (`snapshot` /
-    /// `restore` need `liar serve --warm <dir>`).
-    NoStore,
-    /// No snapshot is stored under the requested fingerprint.
-    UnknownSnapshot,
-    /// The shipped snapshot bytes failed to restore (bad magic, version
-    /// mismatch, checksum failure, …) or the stop reason was not a known
-    /// wire name. The server's store is untouched.
-    BadSnapshot,
-    /// The snapshot restored fine but persisting it to the store failed
-    /// (disk full, permissions, …).
-    StoreFailed,
 }
 
 impl ErrorCode {
@@ -320,10 +308,6 @@ impl ErrorCode {
             ErrorCode::FrameTooLarge => "frame-too-large",
             ErrorCode::BadFrame => "bad-frame",
             ErrorCode::ShuttingDown => "shutting-down",
-            ErrorCode::NoStore => "no-store",
-            ErrorCode::UnknownSnapshot => "unknown-snapshot",
-            ErrorCode::BadSnapshot => "bad-snapshot",
-            ErrorCode::StoreFailed => "store-failed",
         }
     }
 
@@ -341,10 +325,6 @@ impl ErrorCode {
             ErrorCode::FrameTooLarge,
             ErrorCode::BadFrame,
             ErrorCode::ShuttingDown,
-            ErrorCode::NoStore,
-            ErrorCode::UnknownSnapshot,
-            ErrorCode::BadSnapshot,
-            ErrorCode::StoreFailed,
         ]
         .into_iter()
         .find(|c| c.name() == name)
@@ -358,121 +338,6 @@ pub fn target_from_wire(name: &str) -> Option<Target> {
         "pytorch" | "torch" => Some(Target::Torch),
         "pure-c" | "purec" | "c" => Some(Target::PureC),
         _ => None,
-    }
-}
-
-/// Hex-encode bytes (lowercase) for shipping binary snapshots inside the
-/// JSON protocol.
-pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    s
-}
-
-/// Decode a hex string (either case) back to bytes. `None` on odd length
-/// or non-hex characters.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let digits = s.as_bytes();
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Some(out)
-}
-
-/// A `snapshot` request: fetch the stored e-graph snapshot for a request
-/// fingerprint, so it can be shipped to (and restored on) another serve
-/// node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotRequest {
-    /// Optional client-chosen id, echoed in the response.
-    pub id: Option<String>,
-    /// The request fingerprint, 32 hex digits (the `fingerprint` field
-    /// of an earlier [`OptimizeResponse`]).
-    pub fingerprint: String,
-}
-
-impl SnapshotRequest {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![("op".to_string(), Json::Str("snapshot".into()))];
-        if let Some(id) = &self.id {
-            pairs.push(("id".to_string(), Json::Str(id.clone())));
-        }
-        pairs.push(("fingerprint".to_string(), Json::Str(self.fingerprint.clone())));
-        Json::Obj(pairs)
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let fingerprint = j
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or("missing string field \"fingerprint\"")?
-            .to_string();
-        let id = match j.get("id") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_str().ok_or("\"id\" must be a string")?.to_string()),
-        };
-        Ok(SnapshotRequest { id, fingerprint })
-    }
-}
-
-/// A `restore` request: ship a snapshot (typically fetched from another
-/// node with the `snapshot` op) into this server's durable store. The
-/// server restores the bytes before saving, so a corrupt snapshot is
-/// rejected with [`ErrorCode::BadSnapshot`] instead of poisoning the
-/// store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestoreRequest {
-    /// Optional client-chosen id, echoed in the response.
-    pub id: Option<String>,
-    /// The request fingerprint the snapshot answers, 32 hex digits.
-    pub fingerprint: String,
-    /// Why the original saturation stopped (the `stop_reason` wire name
-    /// of the run that produced the snapshot).
-    pub stop_reason: String,
-    /// The snapshot bytes, hex-encoded ([`to_hex`]).
-    pub snapshot_hex: String,
-}
-
-impl RestoreRequest {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![("op".to_string(), Json::Str("restore".into()))];
-        if let Some(id) = &self.id {
-            pairs.push(("id".to_string(), Json::Str(id.clone())));
-        }
-        pairs.extend([
-            ("fingerprint".to_string(), Json::Str(self.fingerprint.clone())),
-            ("stop_reason".to_string(), Json::Str(self.stop_reason.clone())),
-            ("snapshot_hex".to_string(), Json::Str(self.snapshot_hex.clone())),
-        ]);
-        Json::Obj(pairs)
-    }
-
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let field = |name: &str| -> Result<String, String> {
-            j.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("missing string field \"{name}\""))
-        };
-        let id = match j.get("id") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_str().ok_or("\"id\" must be a string")?.to_string()),
-        };
-        Ok(RestoreRequest {
-            id,
-            fingerprint: field("fingerprint")?,
-            stop_reason: field("stop_reason")?,
-            snapshot_hex: field("snapshot_hex")?,
-        })
     }
 }
 
@@ -636,10 +501,6 @@ pub enum Request {
     /// Optimize a program (with proofs when
     /// [`OptimizeRequest::explain`] is set — the `explain` op).
     Optimize(OptimizeRequest),
-    /// Fetch a stored e-graph snapshot by fingerprint.
-    Snapshot(SnapshotRequest),
-    /// Ship a snapshot into this server's store.
-    Restore(RestoreRequest),
     /// Service + cache counters.
     Stats,
     /// Full metrics scrape: the server's counters, gauges and latency
@@ -663,8 +524,6 @@ impl Request {
     pub fn to_payload(&self) -> Vec<u8> {
         let j = match self {
             Request::Optimize(r) => r.to_json(),
-            Request::Snapshot(r) => r.to_json(),
-            Request::Restore(r) => r.to_json(),
             Request::Stats => Json::obj([("op", Json::Str("stats".into()))]),
             Request::Metrics => Json::obj([("op", Json::Str("metrics".into()))]),
             Request::Introspect { tail } => Json::obj([
@@ -694,12 +553,6 @@ impl Request {
             "explain" => OptimizeRequest::from_json(&j, true)
                 .map(Request::Optimize)
                 .map_err(|m| (ErrorCode::BadRequest, m)),
-            "snapshot" => SnapshotRequest::from_json(&j)
-                .map(Request::Snapshot)
-                .map_err(|m| (ErrorCode::BadRequest, m)),
-            "restore" => RestoreRequest::from_json(&j)
-                .map(Request::Restore)
-                .map_err(|m| (ErrorCode::BadRequest, m)),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "introspect" => {
@@ -719,8 +572,8 @@ impl Request {
             other => Err((
                 ErrorCode::BadRequest,
                 format!(
-                    "unknown op {other:?} (expected optimize|explain|snapshot|restore|\
-                     stats|metrics|introspect|ping|shutdown)"
+                    "unknown op {other:?} (expected optimize|explain|stats|metrics|\
+                     introspect|ping|shutdown)"
                 ),
             )),
         }
@@ -1017,34 +870,6 @@ pub struct OptimizeResponse {
     pub solutions: Vec<SolutionMsg>,
 }
 
-/// A successful `snapshot` response: the stored e-graph, ready to ship
-/// to another node's `restore` op.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotResponse {
-    /// Echo of the request id, when one was given.
-    pub id: Option<String>,
-    /// The fingerprint the snapshot answers.
-    pub fingerprint: String,
-    /// Why the saturation that produced the snapshot stopped.
-    pub stop_reason: String,
-    /// The snapshot bytes, hex-encoded ([`from_hex`] decodes them).
-    pub snapshot_hex: String,
-}
-
-/// A successful `restore` response: the snapshot validated (it restored
-/// to a live e-graph) and now sits in this server's store.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestoreResponse {
-    /// Echo of the request id, when one was given.
-    pub id: Option<String>,
-    /// The fingerprint the snapshot was stored under.
-    pub fingerprint: String,
-    /// E-nodes in the restored e-graph (a sanity echo from validation).
-    pub n_nodes: usize,
-    /// E-classes in the restored e-graph.
-    pub n_classes: usize,
-}
-
 /// Cache + service counters (`stats` response).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StatsResponse {
@@ -1128,8 +953,7 @@ pub struct MetricsResponse {
 /// computes locally) plus the tail of its flight-recorder ring.
 ///
 /// `report` is `None` until the first cold (non-replayed, non-restored)
-/// optimization completes, and stays `None` on servers started with
-/// introspection disabled.
+/// optimization completes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntrospectResponse {
     /// The per-rule funnel and composition tables, when a cold
@@ -1324,10 +1148,6 @@ impl IntrospectResponse {
 pub enum Response {
     /// A finished optimization.
     Optimize(OptimizeResponse),
-    /// A stored snapshot, fetched by fingerprint.
-    Snapshot(SnapshotResponse),
-    /// A shipped snapshot was validated and stored.
-    Restored(RestoreResponse),
     /// Counters.
     Stats(StatsResponse),
     /// A Prometheus-rendered metrics scrape.
@@ -1395,33 +1215,6 @@ impl Response {
                 ("prometheus", Json::Str(m.prometheus.clone())),
             ]),
             Response::Introspect(r) => r.to_json(),
-            Response::Snapshot(r) => {
-                let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-                if let Some(id) = &r.id {
-                    pairs.push(("id".to_string(), Json::Str(id.clone())));
-                }
-                pairs.extend([
-                    ("fingerprint".to_string(), Json::Str(r.fingerprint.clone())),
-                    ("stop_reason".to_string(), Json::Str(r.stop_reason.clone())),
-                    ("snapshot_hex".to_string(), Json::Str(r.snapshot_hex.clone())),
-                ]);
-                Json::Obj(pairs)
-            }
-            Response::Restored(r) => {
-                let mut pairs = vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("restored".to_string(), Json::Bool(true)),
-                ];
-                if let Some(id) = &r.id {
-                    pairs.push(("id".to_string(), Json::Str(id.clone())));
-                }
-                pairs.extend([
-                    ("fingerprint".to_string(), Json::Str(r.fingerprint.clone())),
-                    ("n_nodes".to_string(), Json::Num(r.n_nodes as f64)),
-                    ("n_classes".to_string(), Json::Num(r.n_classes as f64)),
-                ]);
-                Json::Obj(pairs)
-            }
             Response::Pong => Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]),
             Response::ShuttingDown => Json::obj([
                 ("ok", Json::Bool(true)),
@@ -1507,37 +1300,6 @@ impl Response {
                 latency_p50_ms: lenient("latency_p50_ms"),
                 latency_p95_ms: lenient("latency_p95_ms"),
                 latency_p99_ms: lenient("latency_p99_ms"),
-            }));
-        }
-        if j.get("restored").is_some() {
-            let field = |name: &str| {
-                j.get(name)
-                    .and_then(Json::as_usize)
-                    .ok_or(format!("restore response missing \"{name}\""))
-            };
-            return Ok(Response::Restored(RestoreResponse {
-                id: j.get("id").and_then(Json::as_str).map(str::to_string),
-                fingerprint: j
-                    .get("fingerprint")
-                    .and_then(Json::as_str)
-                    .ok_or("restore response missing \"fingerprint\"")?
-                    .to_string(),
-                n_nodes: field("n_nodes")?,
-                n_classes: field("n_classes")?,
-            }));
-        }
-        if j.get("snapshot_hex").is_some() {
-            let field = |name: &str| -> Result<String, String> {
-                j.get(name)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or(format!("snapshot response missing \"{name}\""))
-            };
-            return Ok(Response::Snapshot(SnapshotResponse {
-                id: j.get("id").and_then(Json::as_str).map(str::to_string),
-                fingerprint: field("fingerprint")?,
-                stop_reason: field("stop_reason")?,
-                snapshot_hex: field("snapshot_hex")?,
             }));
         }
         let str_field = |name: &str| -> Result<String, String> {
@@ -1723,16 +1485,6 @@ mod tests {
                 explain: true,
                 ..OptimizeRequest::new("(dot #8 xs ys)")
             }),
-            Request::Snapshot(SnapshotRequest {
-                id: Some("s1".into()),
-                fingerprint: "ab".repeat(16),
-            }),
-            Request::Restore(RestoreRequest {
-                id: None,
-                fingerprint: "ab".repeat(16),
-                stop_reason: "saturated".into(),
-                snapshot_hex: to_hex(b"LIARSNAP rest of the snapshot"),
-            }),
         ];
         for req in reqs {
             let payload = req.to_payload();
@@ -1743,10 +1495,12 @@ mod tests {
 
     #[test]
     fn bad_requests_carry_codes() {
-        let cases: [(&[u8], ErrorCode); 5] = [
+        let cases: [(&[u8], ErrorCode); 6] = [
             (b"not json", ErrorCode::BadJson),
             (b"{}", ErrorCode::BadRequest),
             (b"{\"op\":\"nope\"}", ErrorCode::BadRequest),
+            // The snapshot-shipping ops are gone: unknown ops like any other.
+            (b"{\"op\":\"snapshot\",\"fingerprint\":\"00\"}", ErrorCode::BadRequest),
             (b"{\"op\":\"optimize\"}", ErrorCode::BadRequest),
             (
                 b"{\"op\":\"optimize\",\"program\":\"x\",\"steps\":-1}",
@@ -1818,18 +1572,6 @@ mod tests {
                     },
                 ],
             }),
-            Response::Snapshot(SnapshotResponse {
-                id: Some("s1".into()),
-                fingerprint: "ab".repeat(16),
-                stop_reason: "iteration limit".into(),
-                snapshot_hex: to_hex(&[0x4c, 0x49, 0x41, 0x52, 0x00, 0xff]),
-            }),
-            Response::Restored(RestoreResponse {
-                id: None,
-                fingerprint: "ab".repeat(16),
-                n_nodes: 120,
-                n_classes: 40,
-            }),
         ];
         for resp in resps {
             let payload = resp.to_payload();
@@ -1898,17 +1640,6 @@ mod tests {
             }
             other => panic!("expected introspect, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn hex_roundtrip_and_rejects() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let hex = to_hex(&bytes);
-        assert_eq!(from_hex(&hex).unwrap(), bytes);
-        assert_eq!(from_hex(&hex.to_uppercase()).unwrap(), bytes);
-        assert_eq!(from_hex(""), Some(Vec::new()));
-        assert!(from_hex("abc").is_none(), "odd length");
-        assert!(from_hex("zz").is_none(), "non-hex digit");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The optimization daemon: accept loop, bounded job queue, worker pool,
-//! single-flight coalescing and budget batching.
+//! single-flight coalescing and batched queue drains.
 //!
 //! # Anatomy of a request
 //!
@@ -13,12 +13,11 @@
 //!   and `stats` inline, and turns `optimize` requests into jobs. The
 //!   queue is **bounded**: when it is full the client gets a structured
 //!   `queue-full` error instead of unbounded memory growth.
-//! * **Workers** (`--workers N`) pop jobs. A worker that pops a job also
-//!   **drains a batch**: it takes along every queued job with the same
-//!   saturation budget (up to a cap), so one queue interaction feeds a
-//!   run of requests that exercise the same configuration — duplicates
-//!   inside the batch collapse onto the cache/single-flight layer
-//!   without ever waking another worker.
+//! * **Workers** (`--workers N`) pop jobs. A worker **drains a batch**:
+//!   it takes the oldest queued jobs in arrival order (up to 8), so one
+//!   queue interaction feeds a run of requests — duplicates inside the
+//!   batch collapse onto the cache/single-flight layer without ever
+//!   waking another worker.
 //! * **Single-flight**: identical in-flight fingerprints share one
 //!   computation. The first job becomes the *leader* and computes; the
 //!   rest wait on the leader's result and respond `"cache":"coalesced"`.
@@ -38,19 +37,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use liar_core::store::stop_reason_from_name;
 use liar_core::{
     Fingerprint, InspectReport, Liar, MachineProfile, MultiReport, OptimizeError, SaturationCache,
     SnapshotStore, Target,
 };
-use liar_ir::{ArrayAnalysis, ArrayEGraph, Expr, StableHasher};
+use liar_ir::Expr;
 use liar_trace::{prom::PromWriter, FlightRecorder, Histogram, Recorder, TraceSink};
 
 use crate::protocol::{
     self, read_frame, target_from_wire, write_frame, ErrorCode, FrameError, IntrospectResponse,
-    MetricsResponse, OptimizeRequest, OptimizeResponse, ProofMsg, Request, Response,
-    RestoreRequest, RestoreResponse, SnapshotRequest, SnapshotResponse, SolutionMsg, StatsResponse,
+    MetricsResponse, OptimizeRequest, OptimizeResponse, ProofMsg, Request, Response, SolutionMsg,
+    StatsResponse,
 };
+
+/// Ceiling on a request's `node_limit` (`budget-too-large` beyond it).
+const MAX_NODE_LIMIT: usize = 1_000_000;
+
+/// Ceiling on a request's `discount_scales` and `profiles` lengths: each
+/// entry is a full per-target extraction, so the fan-out is a budget too.
+const MAX_DISCOUNT_SCALES: usize = 8;
+
+/// Most jobs one worker drains per queue interaction.
+const BATCH_MAX: usize = 8;
+
+/// Flight-recorder ring capacity (events retained for the `introspect`
+/// op's tail).
+const FLIGHT_CAPACITY: usize = 256;
 
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -71,18 +83,10 @@ pub struct ServerConfig {
     pub max_steps: usize,
     /// Default e-node budget when a request names none.
     pub default_node_limit: usize,
-    /// Ceiling on a request's `node_limit`.
-    pub max_node_limit: usize,
-    /// Ceiling on a request's `discount_scales` length (each scale is a
-    /// full per-target extraction, so this is a budget knob too).
-    pub max_discount_scales: usize,
-    /// Most jobs one worker drains per queue interaction.
-    pub batch_max: usize,
     /// Directory of the durable snapshot store (`liar serve --warm`).
-    /// When set, every cold saturation persists its e-graph there, a
+    /// When set, every cold saturation persists its e-graph there and a
     /// restart answers repeat fingerprints by restore + extraction
-    /// (zero saturation steps), and the `snapshot` / `restore` protocol
-    /// ops ship e-graphs between nodes. `None` disables durability.
+    /// (zero saturation steps). `None` disables durability.
     pub warm_dir: Option<std::path::PathBuf>,
     /// Directory for Chrome trace-event exports (`liar serve
     /// --trace-dir`). When set, the daemon records per-request phase
@@ -93,16 +97,6 @@ pub struct ServerConfig {
     /// span recording entirely — the metrics histograms stay on either
     /// way, they are plain atomic counters.
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Live introspection (`introspect` op, `liar stats --inspect`):
-    /// when on (the default), every job's pipeline runs with growth
-    /// attribution and a flight recorder, and the daemon retains the
-    /// most recent cold saturation's tables. Attribution is strictly
-    /// observational (answers are bit-identical either way); turn it off
-    /// to shave the ledger's bookkeeping from hot saturations.
-    pub introspect: bool,
-    /// Flight-recorder ring capacity (events retained for the
-    /// `introspect` op's tail).
-    pub flight_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -116,13 +110,8 @@ impl Default for ServerConfig {
             default_steps: 8,
             max_steps: 24,
             default_node_limit: 300_000,
-            max_node_limit: 1_000_000,
-            max_discount_scales: 8,
-            batch_max: 8,
             warm_dir: None,
             trace_dir: None,
-            introspect: true,
-            flight_capacity: 256,
         }
     }
 }
@@ -135,8 +124,6 @@ struct Job {
     discount_scales: Vec<f64>,
     pipeline: Liar,
     fingerprint: Fingerprint,
-    /// Hash of the budget knobs alone — the batching key.
-    budget_key: u64,
     received: Instant,
     reply: mpsc::Sender<Response>,
 }
@@ -243,10 +230,10 @@ struct Shared {
     /// The always-on event ring the `introspect` op serves its tail
     /// from. Pipelines record cache hits/misses and snapshot restores
     /// into it; runners record rule firings, bans and budget
-    /// truncations (only when `config.introspect` attaches it).
+    /// truncations.
     flight: Arc<FlightRecorder>,
     /// Growth tables of the most recent *cold* saturation (`None` until
-    /// one runs, or always with `config.introspect` off).
+    /// one runs).
     inspect: Mutex<Option<InspectReport>>,
 }
 
@@ -290,7 +277,7 @@ impl Shared {
         w.counter("liar_requests_total", "Optimize requests accepted into the job queue", s.requests as f64);
         w.counter("liar_errors_total", "Error responses sent", s.errors as f64);
         w.counter("liar_coalesced_total", "Requests coalesced onto an identical in-flight computation", s.coalesced as f64);
-        w.counter("liar_batched_total", "Jobs drained alongside a same-budget batch leader", s.batched as f64);
+        w.counter("liar_batched_total", "Jobs drained alongside an older job in one queue interaction", s.batched as f64);
         w.counter("liar_cache_hits_total", "Saturation cache hits", s.cache_hits as f64);
         w.counter("liar_cache_misses_total", "Saturation cache misses", s.cache_misses as f64);
         w.counter("liar_cache_insertions_total", "Saturation cache insertions", s.cache_insertions as f64);
@@ -352,7 +339,7 @@ impl Server {
             metrics: Metrics::new(),
             recorder,
             start: Instant::now(),
-            flight: Arc::new(FlightRecorder::new(config.flight_capacity)),
+            flight: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             inspect: Mutex::new(None),
             config,
         });
@@ -394,12 +381,6 @@ impl Server {
     /// A snapshot of the service + cache counters.
     pub fn stats(&self) -> StatsResponse {
         self.shared.stats()
-    }
-
-    /// The durable snapshot store, when the server was started with
-    /// [`ServerConfig::warm_dir`].
-    pub fn snapshot_store(&self) -> Option<&Arc<SnapshotStore>> {
-        self.shared.store.as_ref()
     }
 
     /// Pre-saturate the PolyBench kernel corpus into the warm store, so
@@ -606,11 +587,6 @@ fn handle_payload(payload: &[u8], shared: &Arc<Shared>) -> Response {
             flight_total: shared.flight.total_recorded(),
         }),
         Request::Shutdown => Response::ShuttingDown,
-        // Snapshot traffic is I/O-bound (disk + wire, no saturation), so
-        // it is answered inline on the connection thread rather than
-        // competing with optimizations for workers.
-        Request::Snapshot(req) => handle_snapshot(req, shared),
-        Request::Restore(req) => handle_restore(req, shared),
         Request::Optimize(req) => {
             if shared.stopping.load(Ordering::SeqCst) {
                 return Response::Error {
@@ -666,102 +642,6 @@ fn handle_payload(payload: &[u8], shared: &Arc<Shared>) -> Response {
     }
 }
 
-/// Parse a request fingerprint: up to 32 hex digits (the canonical form
-/// [`Fingerprint`]'s `Display` emits).
-fn parse_fingerprint(s: &str) -> Option<Fingerprint> {
-    if s.is_empty() || s.len() > 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u128::from_str_radix(s, 16).ok().map(Fingerprint)
-}
-
-/// Serve a `snapshot` op: read the stored e-graph for a fingerprint and
-/// ship it hex-encoded.
-fn handle_snapshot(req: SnapshotRequest, shared: &Arc<Shared>) -> Response {
-    let Some(store) = &shared.store else {
-        return Response::Error {
-            id: req.id,
-            code: ErrorCode::NoStore,
-            message: "no snapshot store attached (start the server with a warm directory)".into(),
-        };
-    };
-    let Some(fp) = parse_fingerprint(&req.fingerprint) else {
-        return Response::Error {
-            id: req.id,
-            code: ErrorCode::BadRequest,
-            message: format!(
-                "\"fingerprint\" must be 1–32 hex digits, got {:?}",
-                req.fingerprint
-            ),
-        };
-    };
-    match store.load(fp) {
-        Some((stop_reason, bytes)) => Response::Snapshot(SnapshotResponse {
-            id: req.id,
-            fingerprint: fp.to_string(),
-            stop_reason: stop_reason.to_string(),
-            snapshot_hex: protocol::to_hex(&bytes),
-        }),
-        None => Response::Error {
-            id: req.id,
-            code: ErrorCode::UnknownSnapshot,
-            message: format!("no snapshot stored under fingerprint {fp}"),
-        },
-    }
-}
-
-/// Serve a `restore` op: decode, **validate by actually restoring**, and
-/// persist a shipped snapshot. A snapshot that does not restore to a
-/// live e-graph never touches the store.
-fn handle_restore(req: RestoreRequest, shared: &Arc<Shared>) -> Response {
-    let err = |id: Option<String>, code, message: String| Response::Error { id, code, message };
-    let Some(store) = &shared.store else {
-        return err(
-            req.id,
-            ErrorCode::NoStore,
-            "no snapshot store attached (start the server with a warm directory)".into(),
-        );
-    };
-    let Some(fp) = parse_fingerprint(&req.fingerprint) else {
-        return err(
-            req.id,
-            ErrorCode::BadRequest,
-            format!("\"fingerprint\" must be 1–32 hex digits, got {:?}", req.fingerprint),
-        );
-    };
-    let Some(stop_reason) = stop_reason_from_name(&req.stop_reason) else {
-        return err(
-            req.id,
-            ErrorCode::BadSnapshot,
-            format!("unknown stop reason {:?}", req.stop_reason),
-        );
-    };
-    let Some(bytes) = protocol::from_hex(&req.snapshot_hex) else {
-        return err(
-            req.id,
-            ErrorCode::BadSnapshot,
-            "\"snapshot_hex\" is not valid hex".into(),
-        );
-    };
-    let graph = match ArrayEGraph::restore(ArrayAnalysis::default(), &bytes) {
-        Ok(g) => g,
-        Err(e) => return err(req.id, ErrorCode::BadSnapshot, e.to_string()),
-    };
-    if let Err(e) = store.save(fp, &stop_reason, &bytes) {
-        return err(
-            req.id,
-            ErrorCode::StoreFailed,
-            format!("failed to persist the snapshot: {e}"),
-        );
-    }
-    Response::Restored(RestoreResponse {
-        id: req.id,
-        fingerprint: fp.to_string(),
-        n_nodes: graph.num_nodes(),
-        n_classes: graph.num_classes(),
-    })
-}
-
 /// The pipeline a validated job runs. `prewarm_kernels` builds pipelines
 /// through this same function, so boot-time snapshots land under the
 /// fingerprints later client requests compute.
@@ -778,7 +658,12 @@ fn job_pipeline(
         .with_node_limit(node_limit)
         .with_explanations(explain)
         .with_profiles(profiles)
-        .with_cache(Arc::clone(&shared.cache));
+        .with_cache(Arc::clone(&shared.cache))
+        // Live introspection (the `introspect` op): growth attribution and
+        // the flight recorder are observational, so answers are
+        // bit-identical to an unobserved run.
+        .with_attribution(true)
+        .with_flight(Arc::clone(&shared.flight));
     if let Some(store) = &shared.store {
         pipeline = pipeline.with_snapshot_store(Arc::clone(store));
     }
@@ -786,11 +671,6 @@ fn job_pipeline(
         // Saturation/extraction spans land in the same trace as the
         // serve-layer request spans.
         pipeline = pipeline.with_trace(Arc::clone(&shared.recorder));
-    }
-    if shared.config.introspect {
-        pipeline = pipeline
-            .with_attribution(true)
-            .with_flight(Arc::clone(&shared.flight));
     }
     pipeline
 }
@@ -834,14 +714,14 @@ fn make_job(
     let discount_scales = if req.discount_scales.is_empty() {
         vec![1.0]
     } else {
-        if req.discount_scales.len() > cfg.max_discount_scales {
+        if req.discount_scales.len() > MAX_DISCOUNT_SCALES {
             return Err(err(
                 ErrorCode::BudgetTooLarge,
                 format!(
                     "{} discount scales exceeds the server cap {} (each scale is a full \
                      per-target extraction)",
                     req.discount_scales.len(),
-                    cfg.max_discount_scales
+                    MAX_DISCOUNT_SCALES
                 ),
             ));
         }
@@ -853,14 +733,14 @@ fn make_job(
     } else {
         // Each profile is a full per-target extraction, exactly like a
         // discount scale — the same budget cap applies.
-        if req.profiles.len() > cfg.max_discount_scales {
+        if req.profiles.len() > MAX_DISCOUNT_SCALES {
             return Err(err(
                 ErrorCode::BudgetTooLarge,
                 format!(
                     "{} machine profiles exceeds the server cap {} (each profile is a full \
                      per-target extraction)",
                     req.profiles.len(),
-                    cfg.max_discount_scales
+                    MAX_DISCOUNT_SCALES
                 ),
             ));
         }
@@ -889,29 +769,15 @@ fn make_job(
         ));
     }
     let node_limit = req.node_limit.unwrap_or(cfg.default_node_limit);
-    if node_limit > cfg.max_node_limit {
+    if node_limit > MAX_NODE_LIMIT {
         return Err(err(
             ErrorCode::BudgetTooLarge,
-            format!(
-                "node_limit {} exceeds the server cap {}",
-                node_limit, cfg.max_node_limit
-            ),
+            format!("node_limit {node_limit} exceeds the server cap {MAX_NODE_LIMIT}"),
         ));
     }
 
     let pipeline = job_pipeline(shared, targets[0], steps, node_limit, req.explain, profiles);
     let fingerprint = pipeline.request_fingerprint(&expr, &targets, &discount_scales);
-    let budget_key = {
-        let knobs = pipeline.budget_knobs();
-        let mut h = StableHasher::new();
-        h.u64(knobs.iter_limit as u64);
-        h.u64(knobs.node_limit as u64);
-        h.u64(knobs.match_limit as u64);
-        // Explained saturations pay provenance bookkeeping — a different
-        // cost profile, so they batch with their own kind.
-        h.u64(knobs.explain as u64);
-        h.finish() as u64
-    };
 
     let (tx, rx) = mpsc::channel();
     Ok((
@@ -922,7 +788,6 @@ fn make_job(
             discount_scales,
             pipeline,
             fingerprint,
-            budget_key,
             received: Instant::now(),
             reply: tx,
         },
@@ -944,19 +809,11 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 }
                 queue = shared.queue_cv.wait(queue).unwrap();
             }
-            // Pop the oldest job, then drain every queued job that shares
-            // its saturation budget (up to batch_max) — one queue
-            // interaction feeds a whole run of same-configuration work.
-            let leader = queue.remove(0);
-            let mut batch = vec![leader];
-            let mut i = 0;
-            while i < queue.len() && batch.len() < shared.config.batch_max {
-                if queue[i].budget_key == batch[0].budget_key {
-                    batch.push(queue.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
+            // Take the oldest queued jobs in arrival order — one queue
+            // interaction feeds a whole run of work. ROADMAP.md records
+            // what the drain measured; measure again before removing it.
+            let n = queue.len().min(BATCH_MAX);
+            let batch: Vec<Job> = queue.drain(..n).collect();
             if batch.len() > 1 {
                 shared
                     .counters

@@ -18,10 +18,7 @@ use liar_ir::Expr;
 use liar_kernels::Kernel;
 use liar_serve::json;
 use liar_serve::protocol::{read_frame, write_frame, SolutionMsg};
-use liar_serve::{
-    ErrorCode, OptimizeRequest, OptimizeResponse, Request, Response, RestoreRequest,
-    SnapshotRequest, StatsResponse,
-};
+use liar_serve::{ErrorCode, OptimizeRequest, OptimizeResponse, Request, Response, StatsResponse};
 
 const SEED: u64 = 0x5eed_f022;
 
@@ -109,19 +106,8 @@ fn requests() -> Vec<Request> {
     optimize.steps = Some(6);
     optimize.node_limit = Some(100_000);
     optimize.explain = true;
-    let fingerprint = "0123456789abcdef0123456789abcdef".to_string();
     vec![
         Request::Optimize(optimize),
-        Request::Snapshot(SnapshotRequest {
-            id: Some("s-1".into()),
-            fingerprint: fingerprint.clone(),
-        }),
-        Request::Restore(RestoreRequest {
-            id: None,
-            fingerprint,
-            stop_reason: "iteration limit".into(),
-            snapshot_hex: "4c494152deadbeef".into(),
-        }),
         Request::Stats,
         Request::Metrics,
         Request::Introspect { tail: 16 },

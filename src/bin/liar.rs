@@ -44,7 +44,8 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` runtime failure (e.g. the daemon is not
-//! reachable), `2` usage or input error.
+//! reachable), `2` usage or input error. A reader that closes stdout
+//! early (`liar kernels | head -1`) ends the run quietly with `0`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -62,6 +63,37 @@ use liar::serve::{
     Client, IntrospectResponse, OptimizeRequest, Server, ServerConfig, StatsResponse,
 };
 use liar::trace::{self_times, Recorder};
+
+// ---------------------------------------------------------------------------
+// Output: every `print!`/`println!` in this file goes through `emit`.
+
+macro_rules! print {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout. When the reader has gone away (`liar kernels | head
+/// -1`) there is no one left to answer: exit 0 quietly instead of
+/// panicking on the broken pipe.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 // ---------------------------------------------------------------------------
 // The arg table: one declarative spec per command, one parser for all.
@@ -942,8 +974,7 @@ fn run_serve(p: &Parsed) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The human-readable counter dump shared by `liar stats` and
-/// `liar submit --stats`.
+/// `liar stats`'s human-readable counter dump.
 fn print_stats(stats: &StatsResponse) {
     println!(
         "cache: {} hits, {} misses, {} insertions, {} evictions, {} rejected",
@@ -1006,10 +1037,7 @@ fn run_stats(p: &Parsed) -> Result<ExitCode, String> {
                 println!("latest cold saturation:");
                 print_inspect_report(report, 20);
             }
-            None => println!(
-                "no growth tables yet (no cold saturation has completed, \
-                 or the daemon runs with introspection off)"
-            ),
+            None => println!("no growth tables yet (no cold saturation has completed)"),
         }
         println!(
             "\nflight recorder: {} events recorded, {} dropped, showing last {}:",
@@ -1049,7 +1077,6 @@ fn run_stats(p: &Parsed) -> Result<ExitCode, String> {
 /// What one `liar submit` invocation asks of the daemon.
 enum SubmitAction {
     Ping,
-    Stats,
     Shutdown,
     Optimize(OptimizeRequest),
 }
@@ -1062,8 +1089,6 @@ fn run_submit(p: &Parsed) -> Result<ExitCode, String> {
     // exit 1.
     let action = if p.has("--ping") {
         SubmitAction::Ping
-    } else if p.has("--stats") {
-        SubmitAction::Stats
     } else if p.has("--shutdown") {
         SubmitAction::Shutdown
     } else {
@@ -1114,13 +1139,6 @@ fn run_submit(p: &Parsed) -> Result<ExitCode, String> {
         SubmitAction::Ping => match client.ping() {
             Ok(()) => {
                 println!("pong");
-                return Ok(ExitCode::SUCCESS);
-            }
-            Err(e) => return fail(e),
-        },
-        SubmitAction::Stats => match client.stats() {
-            Ok(stats) => {
-                print_stats(&stats);
                 return Ok(ExitCode::SUCCESS);
             }
             Err(e) => return fail(e),
@@ -1420,11 +1438,6 @@ const COMMANDS: &[CommandSpec] = &[
                 name: "--explain",
                 metavar: None,
                 help: "request proof production; solutions carry certificates",
-            },
-            FlagSpec {
-                name: "--stats",
-                metavar: None,
-                help: "print the daemon's cache/service counters and exit",
             },
             FlagSpec {
                 name: "--ping",

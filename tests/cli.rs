@@ -176,6 +176,27 @@ fn help_lists_commands_and_flags() {
     assert_eq!(liar(&[]).status.code(), Some(2));
 }
 
+/// A reader that closes the pipe early ends the run quietly with status
+/// 0. `dot atax --steps 8` prints about 98 KB, more than a 64 KiB pipe
+/// buffer holds, so the CLI meets the closed read end whatever the
+/// timing.
+#[test]
+fn closed_stdout_exits_quietly() {
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_liar"))
+        .args(["dot", "atax", "--steps", "8"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// End-to-end through the real binaries: start `liar serve` on an
 /// ephemeral loopback port, drive it with `liar submit`, and shut it
 /// down over the protocol.
@@ -225,9 +246,14 @@ fn serve_and_submit_roundtrip() {
     assert!(text.contains("proof ("), "{text}");
     assert!(text.contains("idiom-dot"), "{text}");
 
-    let out = submit(&["--stats"]);
+    let out = liar(&["stats", "--addr", &addr]);
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("1 hits"), "{text}");
+    // One stats command: `submit --stats` is gone.
+    let out = submit(&["--stats"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown flag --stats"), "{stderr}");
 
     // Unreachable daemons are a runtime failure (exit 1), not a usage
     // error.
