@@ -1364,10 +1364,12 @@ mod tests {
             .optimize_multi_status(&memset, &[Target::Blas], &[1.0])
             .unwrap();
         let saved = store.load(fp).expect("the cold run persisted its snapshot");
-        // A well-formed store entry whose snapshot an older format version
-        // (1) wrote: the store header passes, restore must refuse it.
+        // A well-formed store entry whose snapshot the previous format
+        // version wrote, as every store holds after an upgrade: the store
+        // header passes, restore must refuse it.
         let mut stale = saved.1.clone();
-        stale[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let previous = liar_egraph::SNAPSHOT_VERSION - 1;
+        stale[8..12].copy_from_slice(&previous.to_le_bytes());
         for stale_version in [false, true] {
             // Vandalize the stored snapshot: the next request must not
             // trust it — and must not fail either.

@@ -216,16 +216,6 @@ impl<L: Language> Pattern<L> {
         Pattern { nodes, root, program }
     }
 
-    /// A pattern with no variables, from a concrete term.
-    pub fn from_expr(expr: &RecExpr<L>) -> Self {
-        let nodes = expr
-            .nodes()
-            .iter()
-            .map(|n| PatternNode::ENode(n.clone()))
-            .collect();
-        Pattern::from_nodes(nodes)
-    }
-
     /// The nodes in post order.
     pub fn nodes(&self) -> &[PatternNode<L>] {
         &self.nodes

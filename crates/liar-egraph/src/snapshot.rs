@@ -23,7 +23,8 @@
 //! unionfind u32 n_ids, then n_ids × u32 parent      roots self-parenting
 //! classes  u32 n, then per class (ascending id):
 //!            u32 id, u32 n_nodes, nodes, u32 n_parents,
-//!            n_parents × (node, u32 parent-id), analysis data
+//!            n_parents × (node, u32 parent-id),
+//!            analysis data                          see below
 //! memo     u32 n, then n × (node, u32 id)           sorted by node
 //! explain  (flag bit 0 only) u32 n_ids ×
 //!            (node, u32 parent, u8 tag[, u32 rule-name], u8 forward),
@@ -37,13 +38,30 @@
 //! [`SymbolLang`](crate::SymbolLang) and LIAR's array IR; languages
 //! without `from_op` get a structured error, never a panic).
 //!
+//! # Analysis data
+//!
+//! Each class's *analysis data* is whatever its
+//! [`SnapshotAnalysis::write_data`] writes. One `snapshot()` call threads
+//! one [`SnapshotAnalysis::WriteState`] through every class, in ascending
+//! id order, and one `restore()` call threads one
+//! [`SnapshotAnalysis::ReadState`] through the matching
+//! [`read_data`](SnapshotAnalysis::read_data) calls, so an analysis can
+//! write structure that several classes share once and refer to it by
+//! index afterwards. LIAR's array analysis writes its representative
+//! terms that way: one table of term nodes for the whole snapshot, in
+//! which each class adds the nodes no earlier class wrote (children
+//! first: operator string, arity, earlier entries' indices), then names
+//! its own representative's entry.
+//!
 //! # Determinism
 //!
 //! Every hash-map iteration is sorted before serialization, so the bytes
-//! are a pure function of the e-graph's logical content:
-//! `snapshot(restore(s)) == s`, and equal requests produce equal bytes —
-//! which is what lets a store content-address snapshots by request
-//! fingerprint.
+//! are a pure function of the e-graph's logical content and of what the
+//! analysis writes: `snapshot(restore(s)) == s`, and equal requests
+//! produce equal bytes — which is what lets a store content-address
+//! snapshots by request fingerprint. (An analysis whose shared state
+//! follows in-memory sharing, as LIAR's representative table does, must
+//! restore that sharing, so that the restored graph writes it again.)
 //!
 //! Rule justifications serialize the rule *name* but not the matched
 //! substitution: the substitution is diagnostic-only (proof checking
@@ -73,7 +91,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LIARSNAP";
 /// The current snapshot format version. Bumped on any layout or
 /// semantics change; snapshots of other versions are rejected with
 /// [`SnapshotError::VersionMismatch`] (re-saturating is always sound).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A structured snapshot failure: every way `snapshot()`/`restore()` can
 /// refuse, with enough context to log. Restore never panics on corrupt
@@ -307,19 +325,41 @@ impl<'a> SnapshotReader<'a> {
 /// representative terms tie-break on arrival order), so recomputation
 /// could silently change extraction results. `write_data`/`read_data`
 /// must round-trip exactly.
+///
+/// Each `snapshot()` starts one [`WriteState`](Self::WriteState) and
+/// passes it to every `write_data` call, class by class in ascending id
+/// order; each `restore()` does the same with one
+/// [`ReadState`](Self::ReadState) and `read_data`. Data that several
+/// classes share can thus be written once and referenced by the classes
+/// after it.
 pub trait SnapshotAnalysis<L: Language>: crate::Analysis<L> {
+    /// What one snapshot's `write_data` calls share.
+    type WriteState: Default;
+
+    /// What one restore's `read_data` calls share.
+    type ReadState: Default;
+
     /// Serialize one class's fact.
-    fn write_data(data: &Self::Data, w: &mut SnapshotWriter);
+    fn write_data(state: &mut Self::WriteState, data: &Self::Data, w: &mut SnapshotWriter);
 
     /// Deserialize one class's fact. Use
     /// [`SnapshotReader::corrupt`] for validation failures; never panic.
-    fn read_data(r: &mut SnapshotReader<'_>) -> Result<Self::Data, SnapshotError>;
+    fn read_data(
+        state: &mut Self::ReadState,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<Self::Data, SnapshotError>;
 }
 
 impl<L: Language> SnapshotAnalysis<L> for () {
-    fn write_data(_data: &Self::Data, _w: &mut SnapshotWriter) {}
+    type WriteState = ();
+    type ReadState = ();
 
-    fn read_data(_r: &mut SnapshotReader<'_>) -> Result<Self::Data, SnapshotError> {
+    fn write_data(_state: &mut (), _data: &Self::Data, _w: &mut SnapshotWriter) {}
+
+    fn read_data(
+        _state: &mut (),
+        _r: &mut SnapshotReader<'_>,
+    ) -> Result<Self::Data, SnapshotError> {
         Ok(())
     }
 }
@@ -456,6 +496,7 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         let mut ids: Vec<Id> = classes.keys().copied().collect();
         ids.sort_unstable();
         w.write_u32(ids.len() as u32);
+        let mut state = A::WriteState::default();
         for id in ids {
             let class = &classes[&id];
             w.write_id(id);
@@ -468,7 +509,7 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
                 write_node(&mut w, &index, pnode);
                 w.write_id(*pid);
             }
-            A::write_data(&class.data, &mut w);
+            A::write_data(&mut state, &class.data, &mut w);
         }
 
         let mut memo: Vec<(&L, Id)> = self.snapshot_memo().iter().map(|(n, i)| (n, *i)).collect();
@@ -574,6 +615,7 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         let mut classes: FxHashMap<Id, EClass<L, A::Data>> =
             FxHashMap::with_capacity_and_hasher(n_classes.min(1 << 20), Default::default());
         let mut prev: Option<Id> = None;
+        let mut state = A::ReadState::default();
         for _ in 0..n_classes {
             let id = r.read_id(n_ids)?;
             if prev.is_some_and(|p| p >= id) {
@@ -595,7 +637,7 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
                 let pid = r.read_id(n_ids)?;
                 class_parents.push((pnode, pid));
             }
-            let data = A::read_data(&mut r)?;
+            let data = A::read_data(&mut state, &mut r)?;
             classes.insert(
                 id,
                 EClass {

@@ -32,41 +32,35 @@ use crate::{ArrayLang, Expr, Num};
 /// and cloning one bumps a reference count. The flattened term is the
 /// post-order tree of the e-node over its children's flattened terms;
 /// [`len`](Repr::len), equality and the `Display` text agree with it
-/// without flattening.
+/// without flattening. A snapshot writes representatives as a table with
+/// one entry per shared node, so a restored graph shares them as the
+/// original did.
 #[derive(Clone)]
 pub struct Repr(Arc<ReprNode>);
 
 struct ReprNode {
     /// Length of the term (its AST size).
     len: usize,
-    term: Term,
-    /// The flattened term of a [`Term::Node`], filled on first use.
+    /// The chosen e-node; its own child ids are ignored.
+    node: ArrayLang,
+    /// The children's representatives, in child order.
+    children: Box<[Repr]>,
+    /// The flattened term, filled on first use.
     flat: OnceLock<Arc<Expr>>,
-}
-
-enum Term {
-    /// The chosen e-node and its children's representatives, in child
-    /// order (the node's own child ids are ignored).
-    Node(ArrayLang, Box<[Repr]>),
-    /// A term restored from a snapshot, kept as it was parsed.
-    Flat(Arc<Expr>),
 }
 
 impl Repr {
     fn node(enode: &ArrayLang, mut child: impl FnMut(Id) -> Repr) -> Self {
         let children: Box<[Repr]> = enode.children().iter().map(|&c| child(c)).collect();
         let len = 1 + children.iter().map(Repr::len).sum::<usize>();
-        Repr::with(len, Term::Node(enode.clone(), children))
+        Repr::with(len, enode.clone(), children)
     }
 
-    fn from_expr(expr: Expr) -> Self {
-        Repr::with(expr.len(), Term::Flat(Arc::new(expr)))
-    }
-
-    fn with(len: usize, term: Term) -> Self {
+    fn with(len: usize, node: ArrayLang, children: Box<[Repr]>) -> Self {
         Repr(Arc::new(ReprNode {
             len,
-            term,
+            node,
+            children,
             flat: OnceLock::new(),
         }))
     }
@@ -80,57 +74,102 @@ impl Repr {
     /// The term as a flat [`Expr`], built on the first call and shared by
     /// every later one.
     pub fn expr(&self) -> &Arc<Expr> {
-        match &self.0.term {
-            Term::Flat(expr) => expr,
-            Term::Node(..) => self.0.flat.get_or_init(|| {
-                let mut expr = Expr::default();
-                self.append_to(&mut expr);
-                Arc::new(expr)
-            }),
-        }
+        self.0.flat.get_or_init(|| {
+            let mut expr = Expr::default();
+            self.append_to(&mut expr);
+            Arc::new(expr)
+        })
     }
 
     fn append_to(&self, out: &mut Expr) -> Id {
-        match &self.0.term {
-            Term::Flat(expr) => out.append_subtree(expr, expr.root()),
-            Term::Node(node, children) => {
-                let mut children = children.iter();
-                let node = node
-                    .clone()
-                    .map_children(|_| children.next().expect("one repr per child").append_to(out));
-                out.add(node)
-            }
+        let mut children = self.0.children.iter();
+        let node = self
+            .0
+            .node
+            .clone()
+            .map_children(|_| children.next().expect("one repr per child").append_to(out));
+        out.add(node)
+    }
+
+    /// This term's index in a snapshot's representative table. Nodes not
+    /// in `table` yet get the next indices, children first, and are
+    /// pushed onto `fresh` in that order.
+    fn table_index<'a>(&'a self, table: &mut ReprIndex, fresh: &mut Vec<&'a Repr>) -> u32 {
+        if let Some(&index) = table.get(&self.key()) {
+            return index;
         }
+        for child in self.0.children.iter() {
+            child.table_index(table, fresh);
+        }
+        let index = table.len() as u32;
+        table.insert(self.key(), index);
+        fresh.push(self);
+        index
+    }
+
+    /// The address of the shared node: one table entry per allocation.
+    fn key(&self) -> *const () {
+        Arc::as_ptr(&self.0).cast()
+    }
+
+    /// Read one table entry: its operator, arity and the indices of the
+    /// earlier entries that are its children.
+    fn read_entry(table: &[Repr], r: &mut SnapshotReader<'_>) -> Result<Repr, SnapshotError> {
+        let op = r.read_str()?;
+        let arity = r.read_u32()? as usize;
+        // A corrupt arity fails at the first missing index; reserve little.
+        let mut ids = Vec::with_capacity(arity.min(16));
+        let mut children = Vec::with_capacity(arity.min(16));
+        let mut len: usize = 1;
+        for _ in 0..arity {
+            let index = r.read_u32()? as usize;
+            let child = table.get(index).ok_or_else(|| {
+                r.corrupt(format!(
+                    "representative child {index} is not one of the {} earlier entries",
+                    table.len()
+                ))
+            })?;
+            len = len
+                .checked_add(child.len())
+                .ok_or_else(|| r.corrupt("representative length overflows"))?;
+            ids.push(Id::from_index(index));
+            children.push(child.clone());
+        }
+        // The node's child ids are the table indices; like a made node's
+        // class ids, nothing reads them.
+        let node = ArrayLang::from_op(&op, ids)
+            .map_err(|e| r.corrupt(format!("bad representative operator: {e}")))?;
+        Ok(Repr::with(len, node, children.into_boxed_slice()))
     }
 }
 
-/// Structural equality, without flattening unless one side was restored:
-/// length, then pointer, then operator and children.
+/// A snapshot's representative table while it is written: the index of
+/// every node written so far, keyed by [`Repr::key`]. The e-graph keeps
+/// every node alive while it writes, so no address is reused.
+type ReprIndex = FxHashMap<*const (), u32>;
+
+/// Structural equality, without flattening: length, then pointer, then
+/// operator and children.
 impl PartialEq for Repr {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len()
             && (Arc::ptr_eq(&self.0, &other.0)
-                || match (&self.0.term, &other.0.term) {
-                    (Term::Node(a, ac), Term::Node(b, bc)) => a.matches(b) && ac == bc,
-                    _ => self.expr() == other.expr(),
-                })
+                || (self.0.node.matches(&other.0.node) && self.0.children == other.0.children))
     }
 }
 
 /// The term's s-expression, identical to its flattened [`Expr`]'s.
 impl fmt::Display for Repr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0.term {
-            Term::Flat(expr) => expr.fmt(f),
-            Term::Node(node, children) if children.is_empty() => f.write_str(&node.display_op()),
-            Term::Node(node, children) => {
-                write!(f, "({}", node.display_op())?;
-                for child in children.iter() {
-                    write!(f, " {child}")?;
-                }
-                f.write_str(")")
-            }
+        let ReprNode { node, children, .. } = &*self.0;
+        if children.is_empty() {
+            return f.write_str(&node.display_op());
         }
+        write!(f, "({}", node.display_op())?;
+        for child in children.iter() {
+            write!(f, " {child}")?;
+        }
+        f.write_str(")")
     }
 }
 
@@ -346,30 +385,59 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
 }
 
 impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
+    /// The index of every representative node written so far.
+    type WriteState = ReprIndex;
+    /// Every representative node read so far, in table order.
+    type ReadState = Vec<Repr>;
+
     // Facts are serialized, not recomputed: `ClassData::repr` tie-breaks
     // on merge arrival order, so recomputation could change which (equal)
-    // representative extraction-based appliers see.
-    fn write_data(data: &ClassData, w: &mut SnapshotWriter) {
+    // representative extraction-based appliers see. Representatives share
+    // one table per snapshot: a class writes the count and the entries of
+    // the nodes no earlier class wrote, children first, then the index of
+    // its own.
+    fn write_data(table: &mut ReprIndex, data: &ClassData, w: &mut SnapshotWriter) {
         let (bits, high) = data.free.to_raw();
         w.write_u64(bits);
         w.write_bool(high);
         let (rbits, rhigh) = data.repr_free.to_raw();
         w.write_u64(rbits);
         w.write_bool(rhigh);
-        w.write_str(&data.repr.to_string());
+        let mut fresh = Vec::new();
+        let root = data.repr.table_index(table, &mut fresh);
+        w.write_u32(fresh.len() as u32);
+        for repr in fresh {
+            w.write_str(&repr.0.node.display_op());
+            w.write_u32(repr.0.children.len() as u32);
+            for child in repr.0.children.iter() {
+                w.write_u32(table[&child.key()]);
+            }
+        }
+        w.write_u32(root);
         w.write_opt_u64(data.dim.map(|d| d as u64));
         w.write_opt_u64(data.extent.map(|e| e as u64));
         w.write_opt_u64(data.constant.map(|c| c.get().to_bits()));
         w.write_bool(data.has_var);
     }
 
-    fn read_data(r: &mut SnapshotReader<'_>) -> Result<ClassData, SnapshotError> {
+    fn read_data(
+        table: &mut Vec<Repr>,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<ClassData, SnapshotError> {
         let free = VarSet::from_raw(r.read_u64()?, r.read_bool()?);
         let repr_free = VarSet::from_raw(r.read_u64()?, r.read_bool()?);
-        let repr_text = r.read_str()?;
-        let repr: Expr = repr_text
-            .parse()
-            .map_err(|e| r.corrupt(format!("representative does not parse: {e}")))?;
+        let fresh = r.read_u32()?;
+        for _ in 0..fresh {
+            let entry = Repr::read_entry(table, r)?;
+            table.push(entry);
+        }
+        let root = r.read_u32()? as usize;
+        let repr = table.get(root).cloned().ok_or_else(|| {
+            r.corrupt(format!(
+                "representative {root} is past the table's {} entries",
+                table.len()
+            ))
+        })?;
         let dim = r.read_opt_u64()?.map(|d| d as usize);
         let extent = r.read_opt_u64()?.map(|e| e as usize);
         let constant = match r.read_opt_u64()? {
@@ -385,7 +453,7 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
         let has_var = r.read_bool()?;
         Ok(ClassData {
             free,
-            repr: Repr::from_expr(repr),
+            repr,
             repr_free,
             dim,
             extent,
@@ -495,6 +563,13 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The representative of `s` in an e-graph of its own.
+    fn repr_of(s: &str) -> Repr {
+        let mut eg = ArrayEGraph::default();
+        let id = eg.add_expr(&e(s));
+        eg.data(id).repr.clone()
+    }
+
     #[test]
     fn repr_tracks_smallest_member() {
         let mut eg = ArrayEGraph::default();
@@ -511,9 +586,7 @@ mod tests {
         let child = eg.add_expr(&e("(get xs %0)"));
         let parent = eg.add_expr(&e("(lam (+ (get xs %0) 1))"));
         let sum = eg.lookup_expr(&e("(+ (get xs %0) 1)")).unwrap();
-        let Term::Node(_, children) = &eg.data(sum).repr.0.term else {
-            panic!("made representatives are nodes")
-        };
+        let children = &eg.data(sum).repr.0.children;
         assert!(Arc::ptr_eq(&children[0].0, &eg.data(child).repr.0));
         // Adding built no flat term; flattening the parent builds only its
         // own, with the length and text of the copied term.
@@ -523,9 +596,9 @@ mod tests {
         assert_eq!(repr.len(), repr.expr().len());
         assert_eq!(repr.to_string(), repr.expr().to_string());
         assert!(eg.data(child).repr.0.flat.get().is_none());
-        // Structural equality agrees with the flat term's, restored or not.
-        assert_eq!(*repr, Repr::from_expr(e("(lam (+ (get xs %0) 1))")));
-        assert_ne!(*repr, Repr::from_expr(e("(lam (+ (get xs %0) 2))")));
+        // Structural equality agrees with the flat term's, shared or not.
+        assert_eq!(*repr, repr_of("(lam (+ (get xs %0) 1))"));
+        assert_ne!(*repr, repr_of("(lam (+ (get xs %0) 2))"));
         assert_ne!(eg.data(sum).repr, eg.data(child).repr);
     }
 
@@ -644,8 +717,106 @@ mod tests {
         assert_eq!(**restored.data(b).repr.expr(), e("x"));
         assert_eq!(restored.data(b).free, eg.data(a).free);
         assert_eq!(restored.data(dims).extent, Some(4));
+        // The restored representatives share their children as the
+        // original ones do.
+        let body = restored.lookup_expr(&e("2.5")).unwrap();
+        let lam = restored.lookup_expr(&e("(lam 2.5)")).unwrap();
+        let shared = &restored.data(lam).repr.0.children[0];
+        assert!(Arc::ptr_eq(&shared.0, &restored.data(body).repr.0));
+        assert_eq!(restored.data(dims).repr, eg.data(dims).repr);
+        assert_eq!(restored.data(dims).repr.len(), 4);
         // Byte-determinism: re-snapshotting the restored graph is exact.
         assert_eq!(restored.snapshot().unwrap(), bytes);
+    }
+
+    /// One class's analysis bytes around a hand-written representative
+    /// table: empty variable sets, the `entries` (operator and child
+    /// indices), the root index, and no dim, extent, constant or variable.
+    fn class_bytes(entries: &[(&str, Vec<u32>)], root: u32) -> Vec<u8> {
+        let mut w = SnapshotWriter::default();
+        for _ in 0..2 {
+            w.write_u64(0);
+            w.write_bool(false);
+        }
+        w.write_u32(entries.len() as u32);
+        for (op, children) in entries {
+            w.write_str(op);
+            w.write_u32(children.len() as u32);
+            for &c in children {
+                w.write_u32(c);
+            }
+        }
+        w.write_u32(root);
+        for _ in 0..3 {
+            w.write_opt_u64(None);
+        }
+        w.write_bool(false);
+        w.into_bytes()
+    }
+
+    fn read_class(bytes: &[u8]) -> Result<ClassData, SnapshotError> {
+        ArrayAnalysis::read_data(&mut Vec::new(), &mut SnapshotReader::new(bytes))
+    }
+
+    /// Checksummed bytes can still carry a hostile table (a valid checksum
+    /// protects nothing against a file written with one): each must be a
+    /// structured error.
+    fn assert_corrupt(entries: &[(&str, Vec<u32>)], root: u32, what: &str) {
+        match read_class(&class_bytes(entries, root)) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            Err(e) => panic!("{what}: expected Corrupt, got {e:?}"),
+            // Not the term itself: a hostile one can be exponentially long.
+            Ok(data) => panic!(
+                "{what}: read a representative of length {}",
+                data.repr.len()
+            ),
+        }
+    }
+
+    #[test]
+    fn hand_written_table_reads_back() {
+        let data = read_class(&class_bytes(&[("x", vec![]), ("+", vec![0, 0])], 1)).unwrap();
+        assert_eq!(data.repr.to_string(), "(+ x x)");
+        assert_eq!(data.repr.len(), 3);
+        let children = &data.repr.0.children;
+        assert!(Arc::ptr_eq(&children[0].0, &children[1].0));
+    }
+
+    #[test]
+    fn hostile_table_child_not_an_earlier_entry() {
+        assert_corrupt(&[("x", vec![]), ("+", vec![0, 1])], 1, "self reference");
+        assert_corrupt(&[("x", vec![]), ("+", vec![0, 7])], 1, "forward reference");
+        assert_corrupt(&[("fst", vec![u32::MAX])], 0, "index u32::MAX");
+    }
+
+    #[test]
+    fn hostile_table_root_past_the_end() {
+        assert_corrupt(&[("x", vec![])], 1, "root one past the end");
+        assert_corrupt(&[], 0, "root of an empty table");
+    }
+
+    #[test]
+    fn hostile_table_lengths_overflow() {
+        // Entry k is `(+ e e)` over entry k-1, so its length is 2^(k+1)-1:
+        // the last, entry `usize::BITS`, passes `usize::MAX`.
+        let mut entries = vec![("x", vec![])];
+        for k in 0..usize::BITS {
+            entries.push(("+", vec![k, k]));
+        }
+        let root = entries.len() as u32 - 1;
+        assert_corrupt(&entries, root, "length overflow");
+    }
+
+    #[test]
+    fn hostile_table_operator_from_op_rejects() {
+        assert_corrupt(
+            &[("x", vec![]), ("frobnicate", vec![0])],
+            1,
+            "unknown operator",
+        );
+        assert_corrupt(&[("x", vec![]), ("+", vec![0])], 1, "wrong arity");
+        assert_corrupt(&[("NaN", vec![])], 0, "NaN constant");
+        assert_corrupt(&[("#x", vec![])], 0, "bad extent");
     }
 
     #[test]

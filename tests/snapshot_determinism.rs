@@ -15,10 +15,11 @@ use liar::egraph::{DagExtractor, ExactExtractor, Extractor, Id, SnapshotError};
 use liar::ir::{ArrayAnalysis, ArrayEGraph};
 use liar::kernels::Kernel;
 
-/// The deep-sweep subset (shared with `extract_differential.rs`): the
-/// paper's flagship, two PolyBench kernels with distinct shapes, and the
-/// §I motivating example.
-const KERNELS: [Kernel; 4] = [Kernel::Vsum, Kernel::Gemv, Kernel::Atax, Kernel::Mvt];
+/// Kernels whose proofs are too long to explain and check in a test at
+/// the sweep budgets: gemver's run to 11–20 thousand steps (about 8 s in
+/// release), 2mm's to about a thousand (about 0.5 s); every other
+/// kernel's take under 45 ms.
+const LONG_PROOFS: [Kernel; 2] = [Kernel::Gemver, Kernel::TwoMm];
 
 /// Budgets of the full-corpus sweep: enough rewriting that every kernel
 /// grows a non-trivial graph, cheap enough that all sixteen kernels fit
@@ -120,6 +121,18 @@ fn every_kernel_round_trips_to_identical_extraction() {
             "{kernel}: snapshot(restore(s)) != s"
         );
 
+        // Extraction never reads representatives, so compare them here.
+        for class in original.classes() {
+            let (a, b) = (&class.data.repr, &restored.data(class.id).repr);
+            let ctx = format!("{kernel}: class {}", class.id);
+            assert_eq!(a.len(), b.len(), "{ctx}: representative length diverged");
+            assert_eq!(
+                a.to_string(),
+                b.to_string(),
+                "{ctx}: representative diverged"
+            );
+        }
+
         // A restored graph is clean; one more rebuild moves nothing.
         restored.rebuild();
         assert_eq!(restored.find(root), original.find(root), "{kernel}: rebuild moved the root");
@@ -143,7 +156,7 @@ fn every_kernel_round_trips_to_identical_extraction() {
 #[test]
 fn proofs_replay_identically_after_restore() {
     let rules = rules_for_targets(&Target::ALL, &RuleConfig::default());
-    for kernel in KERNELS {
+    for kernel in Kernel::ALL.into_iter().filter(|k| !LONG_PROOFS.contains(k)) {
         let expr = kernel.expr(8);
         let (mut original, root) = sweep_pipeline()
             .with_explanations(true)
