@@ -7,7 +7,8 @@
 //! (`*_s`/`*_ms`, ratio + absolute-floor thresholds so nanobenchmark
 //! noise never trips the gate), overhead ratios may only drift up by an
 //! additive slack, speedups may only shrink so much (when their row times
-//! something above the noise floor), `gate_*` booleans must hold, and
+//! something above the noise floor, and only when the fast side they
+//! imply slowed too), `gate_*` booleans must hold, and
 //! `solution` strings — the semantic output of the optimizer — must match
 //! exactly. Everything else (candidate counts,
 //! node counts, costs within tolerance) is reported as drift but never
@@ -31,9 +32,12 @@ pub enum Policy {
     /// current value exceeds `baseline + ratio_slack`.
     RatioLowerBetter,
     /// A speedup (`*speedup*`): regression when the current value drops
-    /// below `baseline ÷ time_ratio`, judged only when the largest
-    /// baseline timing in its row is at or above the time floor (a ratio
-    /// of two timings under the floor is noise over noise).
+    /// below `baseline ÷ time_ratio` **and** the fast side it implies —
+    /// the row's largest timing ÷ the speedup — grew past `time_ratio`
+    /// too. A speedup that shrank only because its slow side got faster
+    /// is drift. Judged only when the largest baseline timing in its row
+    /// is at or above the time floor (a ratio of two timings under the
+    /// floor is noise over noise).
     HigherBetter,
     /// A `gate_*` boolean: regression whenever it is `false` in the
     /// current document (the gate itself already encodes its tolerance).
@@ -161,17 +165,19 @@ fn render(j: &Json) -> String {
 /// baseline. `bench` labels the findings (e.g. `"serve"`).
 pub fn diff_docs(bench: &str, baseline: &Json, current: &Json, th: &Thresholds) -> DiffReport {
     let mut report = DiffReport::default();
-    let leaf = Leaf { key: None, row_time_s: 0.0 };
+    let leaf = Leaf { key: None, row_time_s: 0.0, cur_row_time_s: 0.0 };
     walk(bench, "", leaf, baseline, current, th, &mut report);
     report
 }
 
-/// Where a value sits: its object key, and the largest baseline timing
-/// among the leaves of the object holding it, in seconds.
+/// Where a value sits: its object key, and the largest timing among the
+/// leaves of the object holding it, in seconds, in the baseline and in
+/// the current document.
 #[derive(Clone, Copy)]
 struct Leaf<'a> {
     key: Option<&'a str>,
     row_time_s: f64,
+    cur_row_time_s: f64,
 }
 
 /// The largest `*_s` / `*_ms` number among an object's leaves, in seconds.
@@ -218,11 +224,12 @@ fn walk(
 ) {
     let key = leaf.key;
     match (baseline, current) {
-        (Json::Obj(pairs), Json::Obj(_)) => {
+        (Json::Obj(pairs), Json::Obj(cur_pairs)) => {
             let row_time_s = largest_time_s(pairs);
+            let cur_row_time_s = largest_time_s(cur_pairs);
             for (k, base_v) in pairs {
                 let child = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
-                let leaf = Leaf { key: Some(k), row_time_s };
+                let leaf = Leaf { key: Some(k), row_time_s, cur_row_time_s };
                 match current.get(k) {
                     Some(cur_v) => walk(bench, &child, leaf, base_v, cur_v, th, report),
                     None => push(
@@ -366,7 +373,16 @@ fn judge_number(
             let judged = leaf.row_time_s >= th.time_floor_s;
             let change = (c / b - 1.0) * 100.0;
             if judged && b > 0.0 && c < b / th.time_ratio {
-                (true, format!("shrank to {:.2}x of baseline", c / b))
+                // The fast side's growth, (current row time ÷ c) ÷
+                // (baseline row time ÷ b), held to the time ratio alone.
+                let growth = (leaf.cur_row_time_s * b) / (leaf.row_time_s * c);
+                let shrank = format!("shrank to {:.2}x of baseline", c / b);
+                let fast = format!("its fast side is {growth:.2}x its baseline");
+                if growth > th.time_ratio {
+                    (true, format!("{shrank}; {fast}, over {:.2}x", th.time_ratio))
+                } else {
+                    (false, format!("{shrank}, but {fast}"))
+                }
             } else if c == b {
                 return;
             } else if judged {
@@ -548,6 +564,37 @@ mod tests {
         let report = diff_docs("serve", &base, &cur, &ci_thresholds());
         let paths: Vec<&str> = report.regressions.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(paths, ["kernels[gemv].cache_hit_speedup"]);
+    }
+
+    /// The serve bench's mvt row: the baseline, and a current row whose
+    /// cold (slow) side sped up 45x while the warm (fast) side held.
+    const MVT_BASE: &str = r#"{"kernels": [
+        {"kernel": "mvt", "cold_ms": 323.979, "warm_p50_ms": 0.575, "cache_hit_speedup": 563.226}
+    ]}"#;
+    const MVT_FAST_COLD: &str = r#"{"kernels": [
+        {"kernel": "mvt", "cold_ms": 7.256, "warm_p50_ms": 0.626, "cache_hit_speedup": 11.593}
+    ]}"#;
+
+    #[test]
+    fn speedup_shrunk_by_a_faster_slow_side_is_drift() {
+        let base = parse(MVT_BASE).unwrap();
+        let cur = parse(MVT_FAST_COLD).unwrap();
+        let report = diff_docs("serve", &base, &cur, &ci_thresholds());
+        assert!(report.pass(), "{:?}", report.regressions);
+        let speedup = report.drift.iter().find(|f| f.path == "kernels[mvt].cache_hit_speedup");
+        let note = &speedup.expect("speedup reported as drift").note;
+        assert!(note.contains("but its fast side is 1.09x its baseline"), "{note}");
+    }
+
+    #[test]
+    fn speedup_shrunk_by_a_slower_fast_side_still_fails() {
+        // The cold side holds and the speedup drops 5x: the warm side
+        // slowed 5x, past CI's 4x budget (though under its 10 ms floor).
+        let base = parse(MVT_BASE).unwrap();
+        let cur = MVT_BASE.replace("563.226", "112.645").replace("0.575", "2.876");
+        let report = diff_docs("serve", &base, &parse(&cur).unwrap(), &ci_thresholds());
+        let paths: Vec<&str> = report.regressions.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, ["kernels[mvt].cache_hit_speedup"]);
     }
 
     #[test]

@@ -39,7 +39,10 @@ use crate::rules::{RuleConfig, Target};
 ///
 /// v3: the machine-profile list joined the key, and extraction's tie-break
 /// among equal-cost terms became canonical (worklist extractors).
-const FINGERPRINT_VERSION: u8 = 3;
+///
+/// v4: the tuple intro rules pair tuple components with tuple components
+/// only, so graphs with a tuple (and their reports' `n_nodes`) shrank.
+const FINGERPRINT_VERSION: u8 = 4;
 
 /// The content address of one optimization request (see the module docs).
 ///

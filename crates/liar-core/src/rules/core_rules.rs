@@ -11,6 +11,9 @@
 //!   (§IV.B.4); their searchers enumerate candidate e-classes for those
 //!   variables — every class under [`RuleConfig::exhaustive`], a bounded
 //!   candidate set by default.
+//!
+//! Each rule interns its variables ([`Var`]) when it is built, never per
+//! match: `Var::new` locks a process-wide table.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -81,13 +84,17 @@ fn resolve_expr(egraph: &AEGraph, binding: &Binding<ArrayLang>) -> Arc<Expr> {
     }
 }
 
-/// R-BetaReduce: `(λ e) y → subst(e, y)`.
-struct BetaReduceApplier;
+/// R-BetaReduce: `(λ e) y → subst(e, y)`, with `?b` the body and `?y`
+/// the argument of its left-hand side.
+struct BetaReduceApplier {
+    b: Var,
+    y: Var,
+}
 
 impl Applier<ArrayLang, ArrayAnalysis> for BetaReduceApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        let body = resolve_expr(egraph, subst.get(&Var::new("b")).expect("b bound"));
-        let arg = resolve_expr(egraph, subst.get(&Var::new("y")).expect("y bound"));
+        let body = resolve_expr(egraph, subst.get(&self.b).expect("b bound"));
+        let arg = resolve_expr(egraph, subst.get(&self.y).expect("y bound"));
         let result = debruijn_subst(&body, &arg);
         let new_id = egraph.add_expr(&result);
         let lhs = if egraph.are_explanations_enabled() {
@@ -115,7 +122,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for BetaReduceApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("b"), Var::new("y")]
+        vec![self.b, self.y]
     }
 }
 
@@ -150,6 +157,7 @@ struct IntroLambdaSearcher {
     config: RuleConfig,
     ys: AuxMemo,
     cands: AuxMemo,
+    y: Var,
 }
 
 impl IntroLambdaSearcher {
@@ -188,7 +196,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
             .take(limit)
             .map(|&y| {
                 let mut s = Subst::default();
-                s.insert(Var::new("y"), Binding::Class(y));
+                s.insert(self.y, Binding::Class(y));
                 s
             })
             .collect()
@@ -219,15 +227,17 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("y")]
+        vec![self.y]
     }
 }
 
-struct IntroLambdaApplier;
+struct IntroLambdaApplier {
+    y: Var,
+}
 
 impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        let mut y = match subst.get(&Var::new("y")).expect("y bound") {
+        let mut y = match subst.get(&self.y).expect("y bound") {
             Binding::Class(id) => *id,
             Binding::Expr(e) => egraph.add_expr(e),
         };
@@ -264,15 +274,24 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("y")]
+        vec![self.y]
     }
+}
+
+/// The variables R-IntroIndexBuild binds: `?f` and `?i` from the matched
+/// `(app f i)`, `?n` an extent class.
+#[derive(Clone, Copy)]
+struct IndexBuildVars {
+    f: Var,
+    i: Var,
+    n: Var,
 }
 
 /// R-IntroIndexBuild: `f i → (build N f)[i]` for every extent `N` present
 /// in the e-graph.
-#[derive(Default)]
 struct IntroIndexBuildSearcher {
     dims: AuxMemo,
+    vars: IndexBuildVars,
 }
 
 impl IntroIndexBuildSearcher {
@@ -309,9 +328,9 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
                     return substs;
                 }
                 let mut s = Subst::default();
-                s.insert(Var::new("f"), Binding::Class(*f));
-                s.insert(Var::new("i"), Binding::Class(*i));
-                s.insert(Var::new("n"), Binding::Class(n));
+                s.insert(self.vars.f, Binding::Class(*f));
+                s.insert(self.vars.i, Binding::Class(*i));
+                s.insert(self.vars.n, Binding::Class(n));
                 substs.push(s);
             }
         }
@@ -329,7 +348,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("f"), Var::new("i"), Var::new("n")]
+        vec![self.vars.f, self.vars.i, self.vars.n]
     }
 }
 
@@ -340,6 +359,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
 /// to the indexed build, with the extent spelled as its `#n` literal.
 struct IntroIndexBuildApplier {
     rhs: Pattern<ArrayLang>,
+    vars: IndexBuildVars,
 }
 
 impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
@@ -347,16 +367,16 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
         if !egraph.are_explanations_enabled() {
             return self.rhs.apply(egraph, class, subst);
         }
-        let bound = |egraph: &mut AEGraph, name: &str| match subst
-            .get(&Var::new(name))
+        let bound = |egraph: &mut AEGraph, var: Var| match subst
+            .get(&var)
             .expect("searcher binds f, i and n")
         {
             Binding::Class(id) => *id,
             Binding::Expr(e) => egraph.add_expr(e),
         };
-        let f = bound(egraph, "f");
-        let i = bound(egraph, "i");
-        let mut n = bound(egraph, "n");
+        let f = bound(egraph, self.vars.f);
+        let i = bound(egraph, self.vars.i);
+        let mut n = bound(egraph, self.vars.n);
         if let Some(d) = egraph.data(n).dim {
             // Spell the extent as its literal so the proof term replays.
             n = egraph.add(ArrayLang::Dim(d));
@@ -377,18 +397,28 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
     }
 }
 
-/// Searcher for the tuple intro rules: pairs every class `a` with candidate
-/// second components `b` (classes already occurring under tuples by
-/// default; all classes in exhaustive mode).
+/// Searcher for the tuple intro rules: pairs a tuple component `a` (the
+/// matched class, kept by the projection) with every tuple component `b`
+/// — by default the classes that already occur under a `tuple` node,
+/// memoized per snapshot; every class in exhaustive mode.
+///
+/// Both slots range over that one set, so the set is closed under the
+/// rules' own output: the tuple a match adds pairs two classes that were
+/// components already. It grows only when another rule builds a tuple or
+/// classes merge. (Bounding `b` alone would not close it: each added
+/// tuple would put its `a` under a tuple, and from the second step on the
+/// set would hold every class.)
 struct IntroTupleSearcher {
     config: RuleConfig,
-    candidates: Arc<AuxMemo>,
+    components: Arc<AuxMemo>,
+    b: Var,
 }
 
 impl IntroTupleSearcher {
-    /// Candidate second components, memoized per snapshot.
-    fn candidates(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
-        self.candidates.get(egraph, || {
+    /// The tuple components (every class in exhaustive mode), sorted,
+    /// deduplicated and canonical; memoized per snapshot.
+    fn components(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
+        self.components.get(egraph, || {
             let mut c: Vec<Id> = if self.config.exhaustive_tuples {
                 egraph.class_ids()
             } else {
@@ -419,32 +449,48 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroTupleSearcher {
         true
     }
 
-    fn search_class(&self, egraph: &AEGraph, _class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
-        self.candidates(egraph)
+    fn search_class(&self, egraph: &AEGraph, class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
+        let components = self.components(egraph);
+        if !self.config.exhaustive_tuples
+            && components.binary_search(&egraph.find(class)).is_err()
+        {
+            return vec![];
+        }
+        components
             .iter()
             .take(limit)
             .map(|&b| {
                 let mut s = Subst::default();
-                s.insert(Var::new("b"), Binding::Class(b));
+                s.insert(self.b, Binding::Class(b));
                 s
             })
             .collect()
     }
 
+    fn candidate_class_ids(&self, egraph: &AEGraph) -> Option<Vec<Id>> {
+        if self.config.exhaustive_tuples || !egraph.is_clean() {
+            return None;
+        }
+        // The component list itself — sound because `search_class` is
+        // empty everywhere else.
+        Some(self.components(egraph).to_vec())
+    }
+
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("b")]
+        vec![self.b]
     }
 }
 
 /// Applier for the tuple intro rules: `a → fst/snd (tuple … )`, where the
-/// matched class supplies the kept component.
+/// matched class supplies the kept component and `?b` the other one.
 struct IntroTupleApplier {
     first: bool,
+    b: Var,
 }
 
 impl Applier<ArrayLang, ArrayAnalysis> for IntroTupleApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        let b = match subst.get(&Var::new("b")).expect("b bound") {
+        let b = match subst.get(&self.b).expect("b bound") {
             Binding::Class(id) => *id,
             Binding::Expr(e) => egraph.add_expr(e),
         };
@@ -467,45 +513,48 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroTupleApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("b")]
+        vec![self.b]
     }
 }
 
 /// The eight core rules of listing 2.
 pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
     let config = *config;
+    let (b, y) = (Var::new("b"), Var::new("y"));
+    let index_vars = IndexBuildVars { f: Var::new("f"), i: Var::new("i"), n: Var::new("n") };
     // One memo for the two tuple intro rules: they scan the same universe.
-    let tuple_memo = Arc::new(AuxMemo::default());
+    let components = Arc::new(AuxMemo::default());
     vec![
         Rewrite::new(
             "beta-reduce",
             "(app (lam ?b) ?y)".parse::<Pattern<ArrayLang>>().unwrap(),
-            BetaReduceApplier,
+            BetaReduceApplier { b, y },
         ),
         Rewrite::new(
             "intro-lambda",
-            IntroLambdaSearcher { config, ys: AuxMemo::default(), cands: AuxMemo::default() },
-            IntroLambdaApplier,
+            IntroLambdaSearcher { config, ys: AuxMemo::default(), cands: AuxMemo::default(), y },
+            IntroLambdaApplier { y },
         ),
         Rewrite::from_patterns("elim-index-build", "(get (build ?n ?f) ?i)", "(app ?f ?i)"),
         Rewrite::new(
             "intro-index-build",
-            IntroIndexBuildSearcher::default(),
+            IntroIndexBuildSearcher { dims: AuxMemo::default(), vars: index_vars },
             IntroIndexBuildApplier {
                 rhs: "(get (build ?n ?f) ?i)".parse::<Pattern<ArrayLang>>().unwrap(),
+                vars: index_vars,
             },
         ),
         Rewrite::from_patterns("elim-fst-tuple", "(fst (tuple ?a ?b))", "?a"),
         Rewrite::new(
             "intro-fst-tuple",
-            IntroTupleSearcher { config, candidates: Arc::clone(&tuple_memo) },
-            IntroTupleApplier { first: true },
+            IntroTupleSearcher { config, components: Arc::clone(&components), b },
+            IntroTupleApplier { first: true, b },
         ),
         Rewrite::from_patterns("elim-snd-tuple", "(snd (tuple ?a ?b))", "?b"),
         Rewrite::new(
             "intro-snd-tuple",
-            IntroTupleSearcher { config, candidates: tuple_memo },
-            IntroTupleApplier { first: false },
+            IntroTupleSearcher { config, components, b },
+            IntroTupleApplier { first: false, b },
         ),
     ]
 }
@@ -513,7 +562,7 @@ pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liar_egraph::Runner;
+    use liar_egraph::{BackoffScheduler, Runner};
     use liar_ir::ArrayEGraph;
 
     fn e(s: &str) -> Expr {
@@ -598,6 +647,41 @@ mod tests {
         let x = runner.egraph.lookup_expr(&e("(+ x 0)")).unwrap();
         let wrapped = runner.egraph.lookup_expr(&e("(fst (tuple (+ x 0) y))"));
         assert_eq!(wrapped, Some(runner.egraph.find(x)));
+    }
+
+    #[test]
+    fn intro_tuple_pairs_only_tuple_components() {
+        // Both tuple slots range over the tuple components, so the rules'
+        // own tuples never make a new component: after six steps every
+        // tuple still pairs the two original components, although x, y, 1
+        // and 2 are classes too. (The pipeline's backoff budget keeps an
+        // unclosed bound, which grows quadratically per step, from
+        // exhausting memory before the check can fail.)
+        let mut eg = ArrayEGraph::default();
+        eg.add_expr(&e("(tuple (+ x 1) (* y 2))"));
+        let mut runner =
+            Runner::new(eg).with_iter_limit(6).with_scheduler(BackoffScheduler::default());
+        runner.run(&core_rules(&RuleConfig::default()));
+        let eg = &runner.egraph;
+        let components = [e("(+ x 1)"), e("(* y 2)")].map(|c| eg.lookup_expr(&c).unwrap());
+        let mut tuples = 0;
+        for class in eg.classes() {
+            for node in &class.nodes {
+                if let ArrayLang::Tuple(children) = node {
+                    tuples += 1;
+                    for child in children {
+                        assert!(
+                            components.contains(&eg.find(*child)),
+                            "tuple in class {} pairs non-component {}",
+                            class.id,
+                            eg.data(*child).repr.expr()
+                        );
+                    }
+                }
+            }
+        }
+        // The rules did fire: every ordered pair of the two components.
+        assert_eq!(tuples, 4);
     }
 
     #[test]

@@ -53,13 +53,18 @@ impl std::fmt::Display for Target {
 /// The paper instantiates such rules with *every* e-class; that semantics
 /// is available via [`RuleConfig::exhaustive`], while the default bounds
 /// the candidate sets to the classes that can actually participate in the
-/// idiom chains (see ARCHITECTURE.md, "Engineering deviations").
+/// idiom chains (see ARCHITECTURE.md, "Rules and cost models").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleConfig {
     /// Which classes `R-IntroLambda` abstracts over.
     pub intro_lambda: CandidateSet,
     /// Instantiate the tuple intro rules over all classes rather than the
     /// components already occurring under tuples.
+    ///
+    /// By default both the kept component (the matched class) and its
+    /// partner are such components, which closes the set under the rules'
+    /// own output: a tuple of two components adds no component, so the
+    /// set grows only when another rule builds a tuple or classes merge.
     pub exhaustive_tuples: bool,
     /// Enable the expression-inflating directions of the scalar identities
     /// (`x → x+0`, `x → 1*x`, `x → x*1`).

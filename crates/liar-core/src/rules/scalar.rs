@@ -55,6 +55,7 @@ fn scalar_like(egraph: &AEGraph, id: Id) -> bool {
 /// shared across the three intro rules, which gate on the same predicate.
 struct ScalarClassSearcher {
     cands: Arc<AuxMemo>,
+    x: Var,
 }
 
 impl ScalarClassSearcher {
@@ -100,7 +101,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
             return vec![];
         }
         let mut s = Subst::default();
-        s.insert(Var::new("x"), Binding::Class(class));
+        s.insert(self.x, Binding::Class(class));
         vec![s]
     }
 
@@ -112,7 +113,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("x")]
+        vec![self.x]
     }
 }
 
@@ -178,7 +179,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for ScalarIntroApplier {
 fn intro(name: &str, shape: IntroShape, rhs: &str, cands: Arc<AuxMemo>) -> ArrayRewrite {
     Rewrite::new(
         name,
-        ScalarClassSearcher { cands },
+        ScalarClassSearcher { cands, x: Var::new("x") },
         ScalarIntroApplier {
             shape,
             rhs: rhs.parse::<Pattern<ArrayLang>>().unwrap(),

@@ -32,37 +32,44 @@ fn class_of(egraph: &mut AEGraph, binding: &Binding<ArrayLang>) -> Id {
 struct LiftApplier {
     fun: LibFn,
     /// Variables for the two extents to multiply.
-    n: &'static str,
-    m: &'static str,
+    n: Var,
+    m: Var,
     /// Variables for the value arguments, in call order.
-    args: Vec<&'static str>,
+    args: Vec<Var>,
+    /// The lifted array(s) must actually have `n` rows.
+    checks: Vec<Check>,
+}
+
+impl LiftApplier {
+    fn new(fun: LibFn, n: &str, m: &str, args: &[&str]) -> LiftApplier {
+        LiftApplier {
+            fun,
+            n: Var::new(n),
+            m: Var::new(m),
+            args: args.iter().map(Var::new).collect(),
+            checks: args.iter().filter(|a| **a != "alpha").map(|a| Check::arr(a, n)).collect(),
+        }
+    }
 }
 
 impl Applier<ArrayLang, ArrayAnalysis> for LiftApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        // The lifted array(s) must actually have `n` rows.
-        let checks: Vec<Check> = self
-            .args
-            .iter()
-            .filter(|a| **a != "alpha")
-            .map(|a| Check::arr(a, self.n))
-            .collect();
-        if !checks_pass(egraph, subst, &checks) {
+        if !checks_pass(egraph, subst, &self.checks) {
             return vec![];
         }
-        let dim_of = |egraph: &AEGraph, v: &str| -> Option<usize> {
-            match subst.get(&Var::new(v))? {
+        let dim_of = |egraph: &AEGraph, v: &Var| -> Option<usize> {
+            match subst.get(v)? {
                 Binding::Class(id) => egraph.data(*id).dim,
                 Binding::Expr(e) => e.node(e.root()).as_dim(),
             }
         };
-        let (Some(n), Some(m)) = (dim_of(egraph, self.n), dim_of(egraph, self.m)) else {
+        let (Some(n), Some(m)) = (dim_of(egraph, &self.n), dim_of(egraph, &self.m)) else {
             return vec![]; // Extent unknown: the match was not well-formed.
         };
         let dim_id = egraph.add(ArrayLang::Dim(n * m));
         let mut children = vec![dim_id];
         for a in &self.args {
-            let b = subst.get(&Var::new(a)).expect("arg bound").clone();
+            let b = subst.get(a).expect("arg bound").clone();
             children.push(class_of(egraph, &b));
         }
         debug_assert_eq!(children.len(), self.fun.arity());
@@ -76,8 +83,8 @@ impl Applier<ArrayLang, ArrayAnalysis> for LiftApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        let mut vars = vec![Var::new(self.n), Var::new(self.m)];
-        vars.extend(self.args.iter().map(Var::new));
+        let mut vars = vec![self.n, self.m];
+        vars.extend(&self.args);
         vars
     }
 }
@@ -145,12 +152,7 @@ pub fn torch_rules() -> Vec<ArrayRewrite> {
             "(build ?n (lam (add ?m (get (sh1 ?a) %0) (get (sh1 ?b) %0))))"
                 .parse::<Pattern<ArrayLang>>()
                 .unwrap(),
-            LiftApplier {
-                fun: LibFn::TAdd,
-                n: "n",
-                m: "m",
-                args: vec!["a", "b"],
-            },
+            LiftApplier::new(LibFn::TAdd, "n", "m", &["a", "b"]),
         ),
         // I-MULSCALARANDVEC: mul(α, A) = build N (λ α * A↑[•0])
         rw(
@@ -165,12 +167,7 @@ pub fn torch_rules() -> Vec<ArrayRewrite> {
             "(build ?n (lam (mul ?m (sh1 ?alpha) (get (sh1 ?a) %0))))"
                 .parse::<Pattern<ArrayLang>>()
                 .unwrap(),
-            LiftApplier {
-                fun: LibFn::TMul,
-                n: "n",
-                m: "m",
-                args: vec!["alpha", "a"],
-            },
+            LiftApplier::new(LibFn::TMul, "n", "m", &["alpha", "a"]),
         ),
         // I-FULLVEC: full(c) = build N (λ c↑)
         rw("idiom-full", "(build ?n (lam (sh1 ?c)))", "(full ?n ?c)", vec![]),

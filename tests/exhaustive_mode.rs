@@ -74,3 +74,23 @@ fn tuple_intro_rules_fire_in_exhaustive_mode() {
         .lookup_expr(&"(fst (tuple (+ x y) x))".parse().unwrap());
     assert_eq!(wrapped, Some(runner.egraph.find(root)));
 }
+
+#[test]
+fn exhaustive_mode_wraps_classes_under_no_tuple() {
+    // z sits under no tuple. The default pairs tuple components only, so
+    // z never gains a projection; exhaustively it pairs like any class.
+    use liar::core::rules::{core_rules, RuleConfig};
+    use liar::egraph::Runner;
+    use liar::ir::ArrayEGraph;
+
+    let wrapped = "(fst (tuple z p))".parse().unwrap();
+    for (config, wraps) in [(RuleConfig::default(), false), (RuleConfig::exhaustive(), true)] {
+        let mut eg = ArrayEGraph::default();
+        eg.add_expr(&"(+ z (fst (tuple p q)))".parse().unwrap());
+        let z = eg.add_expr(&"z".parse().unwrap());
+        let mut runner = Runner::new(eg).with_iter_limit(1);
+        runner.run(&core_rules(&config));
+        let expected = wraps.then(|| runner.egraph.find(z));
+        assert_eq!(runner.egraph.lookup_expr(&wrapped), expected, "{config:?}");
+    }
+}
