@@ -4,9 +4,12 @@
 //! For each kernel × library target:
 //!
 //! * **saturation overhead** — the same pipeline run with explanations
-//!   off vs on (median wall-clock of several runs). The on-run pays the
-//!   provenance forest (one record per issued id, one tagged edge per
-//!   union); the off-run must pay nothing.
+//!   off vs on, in alternating pairs (the order flips every pair). The
+//!   overhead is the median of the per-pair on ÷ off ratios, with their
+//!   interquartile range as its spread, so host drift during a row moves
+//!   both sides of a pair alike. The on-run pays the provenance forest
+//!   (one record per issued id, one tagged edge per union); the off-run
+//!   must pay nothing.
 //! * **proof production + replay** — `explain_equivalence` from the
 //!   source kernel to the extracted solution: proof length (rewrite
 //!   steps), production time, and the time `Explanation::check` takes to
@@ -28,11 +31,21 @@ use liar_kernels::Kernel;
 
 const KERNELS: [Kernel; 4] = [Kernel::Vsum, Kernel::Gemv, Kernel::Atax, Kernel::Mvt];
 const TARGETS: [Target; 2] = [Target::Blas, Target::Torch];
-const SAMPLES: usize = 3;
+/// Off/on pairs per row.
+const PAIRS: usize = 11;
 
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort();
-    times[times.len() / 2]
+/// The first quartile, median and third quartile of `values`.
+fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    [values[n / 4], values[n / 2], values[3 * n / 4]]
+}
+
+/// Wall-clock seconds of one run.
+fn timed<T>(run: impl FnOnce() -> T) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(run());
+    start.elapsed().as_secs_f64()
 }
 
 struct Row {
@@ -41,6 +54,7 @@ struct Row {
     off_s: f64,
     on_s: f64,
     overhead: f64,
+    ratio_iqr: f64,
     proof_steps: usize,
     explain_s: f64,
     check_s: f64,
@@ -80,26 +94,26 @@ fn main() {
                 .unwrap_or_else(|e| panic!("{kernel}/{target}: proof failed to replay: {e}"));
             let check_s = check_start.elapsed().as_secs_f64();
 
-            // Saturation overhead: off vs on, median of SAMPLES (one
-            // warm-up each, already done above).
-            let off = median(
-                (0..SAMPLES)
-                    .map(|_| {
-                        let start = Instant::now();
-                        std::hint::black_box(fast.optimize(&expr));
-                        start.elapsed()
-                    })
-                    .collect(),
-            );
-            let on = median(
-                (0..SAMPLES)
-                    .map(|_| {
-                        let start = Instant::now();
-                        std::hint::black_box(explained.optimize(&expr));
-                        start.elapsed()
-                    })
-                    .collect(),
-            );
+            // Saturation overhead: alternating off/on pairs (one warm-up
+            // each, already done above).
+            let (mut offs, mut ons, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+            for pair in 0..PAIRS {
+                let off_run = || fast.optimize(&expr);
+                let on_run = || explained.optimize(&expr);
+                let (off, on) = if pair % 2 == 0 {
+                    let off = timed(off_run);
+                    (off, timed(on_run))
+                } else {
+                    let on = timed(on_run);
+                    (timed(off_run), on)
+                };
+                ratios.push(on / off.max(1e-9));
+                offs.push(off);
+                ons.push(on);
+            }
+            let [_, off_s, _] = quartiles(offs);
+            let [_, on_s, _] = quartiles(ons);
+            let [q1, overhead, q3] = quartiles(ratios);
 
             // Proof production alone (forest walk + term materialization),
             // on a fresh explained run's e-graph.
@@ -110,14 +124,14 @@ fn main() {
             let explain_s = explain_start.elapsed().as_secs_f64();
             assert_eq!(proof2.len(), proof.len(), "proof length must be stable");
 
-            let overhead = on.as_secs_f64() / off.as_secs_f64().max(1e-9);
             println!(
-                "{:<32} off {:>9.3?}   on {:>9.3?}   overhead {:>5.2}x   proof {:>3} steps   \
-                 explain {:>9.6}s   check {:>9.6}s   {}",
+                "{:<32} off {:>9.3?}   on {:>9.3?}   overhead {:>5.2}x (IQR {:.2})   \
+                 proof {:>3} steps   explain {:>9.6}s   check {:>9.6}s   {}",
                 format!("explain/{}/{}", kernel.name(), target.name()),
-                off,
-                on,
+                Duration::from_secs_f64(off_s),
+                Duration::from_secs_f64(on_s),
                 overhead,
+                q3 - q1,
                 proof.len(),
                 explain_s,
                 check_s,
@@ -126,9 +140,10 @@ fn main() {
             rows.push(Row {
                 kernel: kernel.name(),
                 target: target.name(),
-                off_s: off.as_secs_f64(),
-                on_s: on.as_secs_f64(),
+                off_s,
+                on_s,
                 overhead,
+                ratio_iqr: q3 - q1,
                 proof_steps: proof.len(),
                 explain_s,
                 check_s,
@@ -142,13 +157,14 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"target\": \"{}\", \"off_s\": {:.6}, \"on_s\": {:.6}, \
-             \"overhead\": {:.3}, \"proof_steps\": {}, \"explain_s\": {:.6}, \
-             \"check_s\": {:.6}, \"solution\": \"{}\"}}{}\n",
+             \"overhead\": {:.3}, \"ratio_iqr\": {:.3}, \"proof_steps\": {}, \
+             \"explain_s\": {:.6}, \"check_s\": {:.6}, \"solution\": \"{}\"}}{}\n",
             r.kernel,
             r.target,
             r.off_s,
             r.on_s,
             r.overhead,
+            r.ratio_iqr,
             r.proof_steps,
             r.explain_s,
             r.check_s,

@@ -6,9 +6,10 @@
 //! ([`policy_for`]): wall-clock metrics may only grow so much
 //! (`*_s`/`*_ms`, ratio + absolute-floor thresholds so nanobenchmark
 //! noise never trips the gate), overhead ratios may only drift up by an
-//! additive slack, speedups may only shrink so much (when their row times
-//! something above the noise floor, and only when the fast side they
-//! imply slowed too), `gate_*` booleans must hold, and
+//! additive slack (unless the fast side they imply collapsed), speedups
+//! may only shrink so much (when their row times something above the
+//! noise floor, and only when the fast side they imply slowed too),
+//! `gate_*` booleans must hold, and
 //! `solution` strings — the semantic output of the optimizer — must match
 //! exactly. Everything else (candidate counts,
 //! node counts, costs within tolerance) is reported as drift but never
@@ -29,7 +30,11 @@ pub enum Policy {
     /// benches).
     TimeLowerBetter,
     /// An overhead ratio near 1.0 (`*overhead*`): regression when the
-    /// current value exceeds `baseline + ratio_slack`.
+    /// current value exceeds `baseline + ratio_slack`, unless the fast
+    /// side it implies — the row's largest timing ÷ the overhead, the
+    /// explain bench's `off_s` — fell below its baseline ÷ `time_ratio`.
+    /// An overhead that rose only because its fast side collapsed is
+    /// drift: a fixed cost then weighs more on a much smaller run.
     RatioLowerBetter,
     /// A speedup (`*speedup*`): regression when the current value drops
     /// below `baseline ÷ time_ratio` **and** the fast side it implies —
@@ -336,6 +341,14 @@ fn walk(
     }
 }
 
+/// How the fast side a ratio implies — the row's largest timing ÷ the
+/// ratio — moved from baseline `b` to current `c`: (current row time ÷ c)
+/// ÷ (baseline row time ÷ b). NaN when the row times nothing, which no
+/// comparison passes.
+fn fast_side_growth(leaf: Leaf<'_>, b: f64, c: f64) -> f64 {
+    (leaf.cur_row_time_s * b) / (leaf.row_time_s * c)
+}
+
 fn judge_number(
     bench: &str,
     path: &str,
@@ -362,7 +375,13 @@ fn judge_number(
         }
         Policy::RatioLowerBetter => {
             if c > b + th.ratio_slack {
-                (true, format!("overhead rose {:.3} past the +{:.2} slack", c - b, th.ratio_slack))
+                let rose = format!("overhead rose {:.3} past the +{:.2} slack", c - b, th.ratio_slack);
+                let growth = fast_side_growth(leaf, b, c);
+                if growth < 1.0 / th.time_ratio {
+                    (false, format!("{rose}, but its fast side is {growth:.2}x its baseline"))
+                } else {
+                    (true, rose)
+                }
             } else if c != b {
                 (false, format!("{:+.3} within slack", c - b))
             } else {
@@ -373,9 +392,8 @@ fn judge_number(
             let judged = leaf.row_time_s >= th.time_floor_s;
             let change = (c / b - 1.0) * 100.0;
             if judged && b > 0.0 && c < b / th.time_ratio {
-                // The fast side's growth, (current row time ÷ c) ÷
-                // (baseline row time ÷ b), held to the time ratio alone.
-                let growth = (leaf.cur_row_time_s * b) / (leaf.row_time_s * c);
+                // The fast side's growth, held to the time ratio alone.
+                let growth = fast_side_growth(leaf, b, c);
                 let shrank = format!("shrank to {:.2}x of baseline", c / b);
                 let fast = format!("its fast side is {growth:.2}x its baseline");
                 if growth > th.time_ratio {
@@ -595,6 +613,36 @@ mod tests {
         let report = diff_docs("serve", &base, &parse(&cur).unwrap(), &ci_thresholds());
         let paths: Vec<&str> = report.regressions.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(paths, ["kernels[mvt].cache_hit_speedup"]);
+    }
+
+    /// The explain bench's mvt/blas row: the baseline, and a current row
+    /// whose off (fast) side fell 245.8 → 6 ms.
+    const EXPLAIN_BASE: &str = r#"{"rows": [
+        {"kernel": "mvt", "target": "blas", "off_s": 0.245774, "on_s": 0.304591, "overhead": 1.239}
+    ]}"#;
+    const EXPLAIN_FAST_OFF: &str = r#"{"rows": [
+        {"kernel": "mvt", "target": "blas", "off_s": 0.006, "on_s": 0.0132, "overhead": 2.2}
+    ]}"#;
+
+    #[test]
+    fn overhead_risen_over_a_collapsed_fast_side_is_drift() {
+        let base = parse(EXPLAIN_BASE).unwrap();
+        let cur = parse(EXPLAIN_FAST_OFF).unwrap();
+        let report = diff_docs("explain", &base, &cur, &ci_thresholds());
+        assert!(report.pass(), "{:?}", report.regressions);
+        let overhead = report.drift.iter().find(|f| f.path == "rows[mvt/blas].overhead");
+        let note = &overhead.expect("overhead reported as drift").note;
+        assert!(note.contains("but its fast side is 0.02x its baseline"), "{note}");
+    }
+
+    #[test]
+    fn overhead_risen_over_a_held_fast_side_still_fails() {
+        // The off side holds at 245.8 ms while the on side doubles.
+        let base = parse(EXPLAIN_BASE).unwrap();
+        let cur = EXPLAIN_BASE.replace("0.304591", "0.498921").replace("1.239", "2.03");
+        let report = diff_docs("explain", &base, &parse(&cur).unwrap(), &ci_thresholds());
+        let paths: Vec<&str> = report.regressions.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, ["rows[mvt/blas].overhead"]);
     }
 
     #[test]

@@ -7,22 +7,10 @@
 //! class's own representative to a shift variable instead of searching the
 //! class for a member.
 
-use liar_bench::harness::pipeline_for;
+use liar_bench::harness::{pipeline_for, trips_extent_assert};
 use liar_core::Target;
 use liar_ir::debruijn::free_vars;
 use liar_kernels::Kernel;
-
-/// Runs whose saturation merges e-classes of different array extents
-/// (8 and 64), which the analysis' extent `debug_assert` rejects: a known
-/// defect of the PyTorch rules at 8 steps. Release builds check them too.
-fn trips_extent_assert(kernel: Kernel, target: Target) -> bool {
-    cfg!(debug_assertions)
-        && target == Target::Torch
-        && matches!(
-            kernel,
-            Kernel::Gemm | Kernel::Jacobi1d | Kernel::Blur1d | Kernel::Stencil2d
-        )
-}
 
 #[test]
 fn representatives_are_members_of_their_class() {

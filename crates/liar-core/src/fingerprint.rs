@@ -42,7 +42,11 @@ use crate::rules::{RuleConfig, Target};
 ///
 /// v4: the tuple intro rules pair tuple components with tuple components
 /// only, so graphs with a tuple (and their reports' `n_nodes`) shrank.
-const FINGERPRINT_VERSION: u8 = 4;
+///
+/// v5: R-IntroIndexBuild pairs its matches with loop extents only, so
+/// PyTorch and union-ruleset graphs (and their reports' `n_nodes`) shrank;
+/// a warm store written under v4 would answer with the old graph.
+const FINGERPRINT_VERSION: u8 = 5;
 
 /// The content address of one optimization request (see the module docs).
 ///

@@ -10,7 +10,9 @@
 //!   **R-IntroSndTuple** have unbound variables on their right-hand sides
 //!   (§IV.B.4); their searchers enumerate candidate e-classes for those
 //!   variables — every class under [`RuleConfig::exhaustive`], a bounded
-//!   candidate set by default.
+//!   candidate set by default. R-IntroIndexBuild's extent is bounded in
+//!   every mode: it ranges over the loop extents (the extents of `build`
+//!   and `ifold` nodes), a set its own output cannot grow.
 //!
 //! Each rule interns its variables ([`Var`]) when it is built, never per
 //! match: `Var::new` locks a process-wide table.
@@ -279,7 +281,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
 }
 
 /// The variables R-IntroIndexBuild binds: `?f` and `?i` from the matched
-/// `(app f i)`, `?n` an extent class.
+/// `(app f i)`, `?n` a loop-extent class.
 #[derive(Clone, Copy)]
 struct IndexBuildVars {
     f: Var,
@@ -287,23 +289,41 @@ struct IndexBuildVars {
     n: Var,
 }
 
-/// R-IntroIndexBuild: `f i → (build N f)[i]` for every extent `N` present
-/// in the e-graph.
+/// R-IntroIndexBuild: `f i → (build N f)[i]` for every loop extent `N` —
+/// a class that occurs as the extent child of a `build` or `ifold` node —
+/// in every [`RuleConfig`] mode.
+///
+/// The set is closed under saturation: the rule's own `(build N f)` takes
+/// its `N` from the set, a lift rule's product extent `#(n·m)` is only
+/// ever a call's element count, and β-reduction and R-IntroLambda copy
+/// representatives whose builds already exist. (Were every class carrying
+/// an extent a candidate, each lifted count would seed builds of its own.)
+/// A proof step still replays: its replay graph holds the step's `after`
+/// term, whose build supplies `N`.
 struct IntroIndexBuildSearcher {
-    dims: AuxMemo,
+    extents: AuxMemo,
     vars: IndexBuildVars,
 }
 
 impl IntroIndexBuildSearcher {
-    /// Classes carrying a known extent, memoized per snapshot.
-    fn dims(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
-        self.dims.get(egraph, || {
-            let mut out: Vec<Id> = egraph
-                .classes()
-                .filter(|c| c.data.dim.is_some())
-                .map(|c| c.id)
-                .collect();
+    /// The loop extents, sorted, deduplicated and canonical; read from
+    /// the operator index and memoized per snapshot. (Between rebuilds a
+    /// bucket may hold merged ids; `find` canonicalizes them.)
+    fn extents(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
+        self.extents.get(egraph, || {
+            let zero = Id::from_index(0);
+            let mut out = Vec::new();
+            for op in [ArrayLang::Build([zero; 2]), ArrayLang::IFold([zero; 3])] {
+                for &class in egraph.classes_with_op(op.op_key()) {
+                    for node in &egraph[class].nodes {
+                        if let ArrayLang::Build([n, _]) | ArrayLang::IFold([n, _, _]) = node {
+                            out.push(egraph.find(*n));
+                        }
+                    }
+                }
+            }
             out.sort_unstable();
+            out.dedup();
             out
         })
     }
@@ -319,11 +339,11 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
     }
 
     fn search_class(&self, egraph: &AEGraph, class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
-        let dims = self.dims(egraph);
+        let extents = self.extents(egraph);
         let mut substs = Vec::new();
         for node in &egraph[class].nodes {
             let ArrayLang::App([f, i]) = node else { continue };
-            for &n in dims.iter() {
+            for &n in extents.iter() {
                 if substs.len() >= limit {
                     return substs;
                 }
@@ -538,7 +558,7 @@ pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
         Rewrite::from_patterns("elim-index-build", "(get (build ?n ?f) ?i)", "(app ?f ?i)"),
         Rewrite::new(
             "intro-index-build",
-            IntroIndexBuildSearcher { dims: AuxMemo::default(), vars: index_vars },
+            IntroIndexBuildSearcher { extents: AuxMemo::default(), vars: index_vars },
             IntroIndexBuildApplier {
                 rhs: "(get (build ?n ?f) ?i)".parse::<Pattern<ArrayLang>>().unwrap(),
                 vars: index_vars,
@@ -682,6 +702,32 @@ mod tests {
         }
         // The rules did fire: every ordered pair of the two components.
         assert_eq!(tuples, 4);
+    }
+
+    #[test]
+    fn intro_index_build_pairs_only_loop_extents() {
+        // I-LIFTADD mints the element count #32 for the lifted add; it is
+        // a call's extent, not a loop's, so R-IntroIndexBuild never builds
+        // over it (pairing every class carrying an extent did).
+        let mut eg = ArrayEGraph::default();
+        let root = eg.add_expr(&liar_ir::dsl::madd(4, 8, e("A"), e("B")));
+        let config = RuleConfig::default();
+        let mut rules = core_rules(&config);
+        rules.extend(crate::rules::scalar_rules(&config));
+        rules.extend(crate::rules::torch_rules());
+        let mut runner =
+            Runner::new(eg).with_iter_limit(6).with_scheduler(BackoffScheduler::default());
+        runner.run(&rules);
+        let eg = &runner.egraph;
+        assert_eq!(eg.lookup_expr(&e("(add #32 A B)")), Some(eg.find(root)));
+        let n32 = eg.lookup_expr(&e("#32")).expect("lifted extent");
+        for class in eg.classes() {
+            for node in &class.nodes {
+                if let ArrayLang::Build([n, _]) = node {
+                    assert_ne!(eg.find(*n), n32, "build over #32 in class {}", class.id);
+                }
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,13 @@ impl std::fmt::Display for Target {
 /// is available via [`RuleConfig::exhaustive`], while the default bounds
 /// the candidate sets to the classes that can actually participate in the
 /// idiom chains (see ARCHITECTURE.md, "Rules and cost models").
+///
+/// One bound holds in every mode and has no field: `R-IntroIndexBuild`'s
+/// extent `N` ranges over the loop extents, the classes that occur as
+/// the extent of a `build` or `ifold` node, not over every class carrying
+/// an extent. A lift rule's product extent is only ever a call's element
+/// count, so the bound keeps those counts from multiplying the PyTorch
+/// graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleConfig {
     /// Which classes `R-IntroLambda` abstracts over.
