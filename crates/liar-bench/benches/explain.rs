@@ -25,6 +25,7 @@
 use std::time::{Duration, Instant};
 
 use liar_bench::harness;
+use liar_bench::timing::quartiles;
 use liar_core::rules::{rules_for, RuleConfig};
 use liar_core::Target;
 use liar_kernels::Kernel;
@@ -33,13 +34,6 @@ const KERNELS: [Kernel; 4] = [Kernel::Vsum, Kernel::Gemv, Kernel::Atax, Kernel::
 const TARGETS: [Target; 2] = [Target::Blas, Target::Torch];
 /// Off/on pairs per row.
 const PAIRS: usize = 11;
-
-/// The first quartile, median and third quartile of `values`.
-fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
-    values.sort_by(f64::total_cmp);
-    let n = values.len();
-    [values[n / 4], values[n / 2], values[3 * n / 4]]
-}
 
 /// Wall-clock seconds of one run.
 fn timed<T>(run: impl FnOnce() -> T) -> f64 {

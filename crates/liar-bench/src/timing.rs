@@ -73,12 +73,16 @@ pub fn bench<T>(name: impl Into<String>, samples: usize, mut f: impl FnMut() -> 
     }
 }
 
-/// Run [`bench()`] and print the measurement immediately (the usual flow
-/// in the bench binaries).
-pub fn bench_and_report<T>(name: impl Into<String>, samples: usize, f: impl FnMut() -> T) -> Measurement {
-    let m = bench(name, samples, f);
-    println!("{}", m.report());
-    m
+/// The first quartile, median and third quartile of `values`, by
+/// nearest rank.
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    [values[n / 4], values[n / 2], values[3 * n / 4]]
 }
 
 #[cfg(test)]
@@ -98,6 +102,13 @@ mod tests {
         assert_eq!(m.min(), Duration::from_millis(1));
         assert_eq!(m.median(), Duration::from_millis(2));
         assert_eq!(m.mean(), Duration::from_millis(2));
+    }
+
+    #[test]
+    fn quartiles_of_known_values() {
+        let values = (1..=11).rev().map(f64::from).collect();
+        assert_eq!(quartiles(values), [3.0, 6.0, 9.0]);
+        assert_eq!(quartiles(vec![2.5]), [2.5; 3]);
     }
 
     #[test]

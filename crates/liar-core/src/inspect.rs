@@ -5,16 +5,16 @@
 //! set of tables:
 //!
 //! - the **per-rule funnel** — candidates scheduled → substitutions
-//!   found → applications that changed the graph, summed from the
-//!   runner's per-step [`Iteration::searched`](liar_egraph::Iteration)
-//!   / `applied` columns — joined with the e-graph's
-//!   [`Attribution`](liar_egraph::Attribution) ledger (e-nodes and
-//!   e-classes created, classes merged, per originating rule);
+//!   found → applications that changed the graph → e-nodes created and
+//!   e-classes merged, summed from the runner's per-step
+//!   [`Iteration`](liar_egraph::Iteration) columns (`searched`,
+//!   `applied`, `grown`), plus three builtin rows for growth outside any
+//!   rule: `(init)`, `(congruence)` and `(direct)`;
 //! - the **composition by operator** — for every operator spelling in
 //!   the final graph, how many e-nodes carry it and how many e-classes
 //!   contain at least one such node.
 //!
-//! The report also re-states the attribution **conservation invariant**
+//! The report also re-states the **conservation invariant**
 //! ([`InspectReport::check`]): per-rule creations minus retirements and
 //! merges must reproduce the final graph's node and class totals
 //! *exactly*.
@@ -23,11 +23,14 @@ use std::collections::BTreeMap;
 
 use liar_egraph::{Analysis, Language, Runner};
 
-/// One row of the per-rule growth funnel. Builtin origins
-/// ([`Attribution::INIT`](liar_egraph::Attribution::INIT),
-/// [`CONGRUENCE`](liar_egraph::Attribution::CONGRUENCE),
-/// [`DIRECT`](liar_egraph::Attribution::DIRECT)) appear as rows with an
-/// empty search funnel (they never search).
+/// One row of the per-rule growth funnel. The builtin origins appear as
+/// rows with an empty search funnel (they never search):
+///
+/// - `(init)` — e-nodes added outside any rule's apply (the initial
+///   expression);
+/// - `(congruence)` — merges made by congruence repair in the runner's
+///   rebuilds;
+/// - `(direct)` — every other merge outside a rule's apply.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleRow {
     /// Rule name, or a parenthesized builtin origin.
@@ -58,9 +61,7 @@ pub struct OpRow {
 }
 
 /// The introspection tables for one saturation — see the [module
-/// docs](self). Built by [`InspectReport::from_runner`] after a run whose
-/// e-graph had attribution enabled
-/// ([`Liar::with_attribution`](crate::Liar::with_attribution)).
+/// docs](self). Built by [`InspectReport::from_runner`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct InspectReport {
     /// The growth funnel, heaviest creators first (nodes created desc,
@@ -80,20 +81,19 @@ pub struct InspectReport {
 }
 
 impl InspectReport {
-    /// Fold a saturated runner's iteration log and its e-graph's
-    /// attribution ledger into the introspection tables.
-    ///
-    /// The funnel columns come from the runner's per-step records and are
-    /// present even when attribution is disabled; the growth columns
-    /// (`nodes_created` …) and the conservation identities need the
-    /// ledger, so without it they are zero and [`check`](Self::check)
-    /// reports the mismatch. Callers gate on
-    /// [`EGraph::is_attribution_enabled`](liar_egraph::EGraph::is_attribution_enabled).
+    /// Fold a saturated runner's per-step records and its e-graph's
+    /// [`Growth`](liar_egraph::Growth) totals into the introspection
+    /// tables. Growth outside the rules' apply windows goes to the
+    /// builtin rows: `(init)` gets the e-nodes no rule created,
+    /// `(congruence)` the rebuilds' unions, and `(direct)` the remaining
+    /// merges.
     pub fn from_runner<L: Language, A: Analysis<L>>(runner: &Runner<L, A>) -> InspectReport {
         let mut rows: BTreeMap<String, RuleRow> = BTreeMap::new();
+        let (mut rule_nodes, mut rule_merges, mut congruence) = (0, 0, 0);
         for iter in &runner.iterations {
             for (i, (name, applied)) in iter.applied.iter().enumerate() {
                 let (candidates, matches) = iter.searched.get(i).copied().unwrap_or((0, 0));
+                let (nodes, merges) = iter.grown.get(i).copied().unwrap_or((0, 0));
                 let row = rows.entry(name.clone()).or_insert_with(|| RuleRow {
                     name: name.clone(),
                     ..RuleRow::default()
@@ -101,21 +101,38 @@ impl InspectReport {
                 row.candidates += candidates as u64;
                 row.matches += matches as u64;
                 row.applied += *applied as u64;
+                row.nodes_created += nodes as u64;
+                row.classes_merged += merges as u64;
+                rule_nodes += nodes;
+                rule_merges += merges;
             }
+            congruence += iter.rebuild_unions;
         }
 
-        let mut nodes_retired = 0;
-        if let Some(attr) = runner.egraph.attribution() {
-            nodes_retired = attr.nodes_retired();
-            for (origin, counters) in attr.rows() {
-                let row = rows.entry(origin.to_string()).or_insert_with(|| RuleRow {
-                    name: origin.to_string(),
+        let growth = runner.egraph.growth();
+        let builtins = [
+            ("(init)", growth.nodes_created.saturating_sub(rule_nodes), 0),
+            ("(congruence)", 0, congruence),
+            (
+                "(direct)",
+                0,
+                growth.classes_merged.saturating_sub(rule_merges + congruence),
+            ),
+        ];
+        for (name, nodes, merges) in builtins {
+            if nodes + merges > 0 {
+                let row = RuleRow {
+                    name: name.to_string(),
+                    nodes_created: nodes as u64,
+                    classes_merged: merges as u64,
                     ..RuleRow::default()
-                });
-                row.nodes_created = counters.nodes_created;
-                row.classes_created = counters.classes_created;
-                row.classes_merged = counters.classes_merged;
+                };
+                rows.insert(name.to_string(), row);
             }
+        }
+        // Every fresh e-node creates its class.
+        for row in rows.values_mut() {
+            row.classes_created = row.nodes_created;
         }
 
         let mut rules: Vec<RuleRow> = rows.into_values().collect();
@@ -154,12 +171,12 @@ impl InspectReport {
             ops,
             n_nodes: runner.egraph.num_nodes(),
             n_classes: runner.egraph.num_classes(),
-            nodes_retired,
+            nodes_retired: growth.nodes_retired as u64,
             steps: runner.iterations.len(),
         };
         debug_assert!(
-            runner.egraph.attribution().is_none() || report.check().is_ok(),
-            "attribution conservation violated: {:?}",
+            report.check().is_ok(),
+            "conservation violated: {:?}",
             report.check()
         );
         report
@@ -237,6 +254,45 @@ mod tests {
         report.nodes_retired = 2;
         report.n_classes = 4;
         assert!(report.check().unwrap_err().contains("class conservation"));
+    }
+
+    #[test]
+    fn rebuild_unions_fold_into_the_congruence_row() {
+        use liar_egraph::{EGraph, Rewrite, SymbolLang};
+        // `a → b` over g(f(a)), g(f(b)): the rule merges a into b, and
+        // congruence repair merges f(a)/f(b) and g(f(a))/g(f(b)).
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        for x in ["a", "b"] {
+            eg.add_expr(&format!("(g (f {x}))").parse().unwrap());
+        }
+        let mut runner = Runner::new(eg).with_iter_limit(1);
+        runner.run(&[Rewrite::from_patterns("a-to-b", "a", "b")]);
+        let report = InspectReport::from_runner(&runner);
+        report.check().expect("conserves");
+        let init = report.rule("(init)").expect("initial expression row");
+        assert_eq!((init.nodes_created, init.classes_created), (6, 6));
+        assert_eq!(report.rule("(congruence)").unwrap().classes_merged, 2);
+        let rule = report.rule("a-to-b").unwrap();
+        assert_eq!((rule.applied, rule.nodes_created, rule.classes_merged), (1, 0, 1));
+        assert!(report.rule("(direct)").is_none());
+        assert_eq!(report.nodes_retired, 2);
+    }
+
+    #[test]
+    fn unions_outside_rules_fold_into_the_direct_row() {
+        use liar_egraph::{EGraph, SymbolLang};
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        let a = eg.add(SymbolLang::leaf("a"));
+        let b = eg.add(SymbolLang::leaf("b"));
+        eg.union(a, b);
+        eg.rebuild();
+        let runner = Runner::new(eg);
+        let report = InspectReport::from_runner(&runner);
+        report.check().expect("conserves");
+        assert_eq!(report.rule("(init)").unwrap().nodes_created, 2);
+        assert_eq!(report.rule("(direct)").unwrap().classes_merged, 1);
+        assert!(report.rule("(congruence)").is_none());
+        assert_eq!(report.rules.len(), 2);
     }
 
     #[test]

@@ -119,18 +119,6 @@ impl OptimizationReport {
         self.steps.iter().map(|s| s.search_time).sum()
     }
 
-    /// Total candidate e-classes the search phase scheduled across all
-    /// steps — the work the operator index avoids (compare a run whose
-    /// rules use the oracle matcher to see the reduction).
-    pub fn total_search_candidates(&self) -> usize {
-        self.steps.iter().map(|s| s.search_candidates).sum()
-    }
-
-    /// Total substitutions found across all steps' search phases.
-    pub fn total_search_matches(&self) -> usize {
-        self.steps.iter().map(|s| s.search_matches).sum()
-    }
-
     /// The first step at which the final solution was found (steps whose
     /// best expression equals the final one, counted from the end).
     pub fn convergence_step(&self) -> usize {
@@ -233,9 +221,9 @@ impl MultiSolution {
 ///
 /// `PartialEq` compares every field, timings included — the saturation
 /// cache's "bit-identical replay" contract is tested with plain `==`.
-/// The one exception is [`inspect`](MultiReport::inspect): the
-/// attribution ledger is observational (like tracing), so two reports
-/// that differ only in whether introspection ran still compare equal.
+/// The one exception is [`inspect`](MultiReport::inspect): the growth
+/// tables are observational (like tracing), so two reports that differ
+/// only in whether introspection ran still compare equal.
 #[derive(Debug, Clone)]
 pub struct MultiReport {
     /// The targets extracted, in the order requested.
@@ -256,9 +244,9 @@ pub struct MultiReport {
     pub n_classes: usize,
     /// One solution per `(target, discount_scale)`, targets outermost.
     pub solutions: Vec<MultiSolution>,
-    /// The growth-attribution tables, when this report's saturation ran
-    /// with [`Liar::with_attribution`] enabled. `None` on warm restores
-    /// (the ledger needs the whole history; a snapshot carries none) and
+    /// The growth tables, when this report's saturation ran with
+    /// [`Liar::with_attribution`] enabled. `None` on warm restores (the
+    /// tables describe a saturation run, and a restore runs none) and
     /// whenever attribution was off. Excluded from `PartialEq`.
     pub inspect: Option<InspectReport>,
 }
@@ -533,18 +521,17 @@ impl Liar {
         self
     }
 
-    /// Enable growth attribution: the saturation e-graph keeps an
-    /// [`Attribution`](liar_egraph::Attribution) ledger charging every
-    /// e-node and e-class creation and every merge to its originating
-    /// rule (or a builtin origin: `(init)`, `(congruence)`, `(direct)`),
-    /// and multi-target reports carry the folded
-    /// [`InspectReport`] tables ([`MultiReport::inspect`]).
+    /// Attach growth attribution to cold multi-target reports: each
+    /// carries the [`InspectReport`] tables ([`MultiReport::inspect`]),
+    /// folded from the runner's per-step records (every e-node created
+    /// and every merge, charged to its rule or to a builtin origin:
+    /// `(init)`, `(congruence)`, `(direct)`).
     ///
-    /// Off by default — the fast path pays nothing. Attribution is
-    /// strictly observational: reports, solutions and proofs are
-    /// bit-identical with it on or off, so — like tracing — the knob is
-    /// **excluded** from [`Liar::request_fingerprint`] and attributed /
-    /// unattributed cache entries are interchangeable.
+    /// Off by default: building the tables walks every e-node once.
+    /// Attribution is strictly observational: reports, solutions and
+    /// proofs are bit-identical with it on or off, so — like tracing —
+    /// the knob is **excluded** from [`Liar::request_fingerprint`] and
+    /// attributed / unattributed cache entries are interchangeable.
     pub fn with_attribution(mut self, on: bool) -> Self {
         self.attribution = on;
         self
@@ -624,9 +611,6 @@ impl Liar {
         let mut egraph = ArrayEGraph::default();
         if self.explain {
             egraph = egraph.with_explanations_enabled();
-        }
-        if self.attribution {
-            egraph = egraph.with_attribution_enabled();
         }
         let root = egraph.add_expr(expr);
         let step0 = Iteration {
@@ -928,8 +912,7 @@ impl Liar {
                 n_nodes: egraph.num_nodes(),
                 n_classes: egraph.num_classes(),
                 solutions,
-                // A restored snapshot carries no attribution ledger: the
-                // counts only make sense over a whole history.
+                // No saturation ran, so there is no growth to attribute.
                 inspect: None,
             },
             CacheStatus::Warm,
@@ -948,14 +931,12 @@ impl Liar {
         (runner.egraph, root)
     }
 
-    /// Saturate `expr` once with the union ruleset of `targets` under
-    /// forced attribution and return the growth tables — the engine
-    /// behind `liar inspect`. The returned report always satisfies
-    /// [`InspectReport::check`].
+    /// Saturate `expr` once with the union ruleset of `targets` and
+    /// return the growth tables — the engine behind `liar inspect`. The
+    /// returned report always satisfies [`InspectReport::check`].
     pub fn inspect(&self, expr: &Expr, targets: &[Target]) -> InspectReport {
-        let attributed = self.clone().with_attribution(true);
         let rules = rules_for_targets(targets, &self.config);
-        let (runner, ..) = attributed.saturate(expr, &rules, &mut self.sink(), |_, _, _, _| {});
+        let (runner, ..) = self.saturate(expr, &rules, &mut self.sink(), |_, _, _, _| {});
         InspectReport::from_runner(&runner)
     }
 
@@ -989,13 +970,10 @@ impl Liar {
         let (mut runner, root, stop_reason) = self.saturate(expr, &rules, sink, record_step);
         let saturation_time = start.elapsed();
 
-        // Fold the attribution ledger before extraction: proof production
-        // may grow the provenance forest, but the growth tables describe
-        // the *saturated* graph.
-        let inspect = runner
-            .egraph
-            .is_attribution_enabled()
-            .then(|| InspectReport::from_runner(&runner));
+        // Fold the growth tables before extraction: proof production may
+        // add spellings to the e-graph, but the tables describe the
+        // *saturated* graph.
+        let inspect = self.attribution.then(|| InspectReport::from_runner(&runner));
 
         // Persist the saturated e-graph before extraction and proof
         // production: extraction never mutates it, but explain_equivalence

@@ -130,7 +130,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for BetaReduceApplier {
 
 /// Whether a class is a candidate for λ-abstraction under the configured
 /// [`CandidateSet`]: the constant-array chains of §IV.C.2 and §V.A abstract
-/// over constants; wider sets are available for experimentation.
+/// over constants; the exhaustive mode abstracts over every class.
 fn intro_lambda_candidate(egraph: &AEGraph, id: Id, set: CandidateSet) -> bool {
     intro_lambda_candidate_class(&egraph[id], set)
 }
@@ -145,12 +145,6 @@ fn intro_lambda_candidate_class(
             class.data.constant.is_some()
                 || class.iter().any(|n| matches!(n, ArrayLang::Call(..)))
         }
-        CandidateSet::ValueLike => class.iter().any(|n| {
-            matches!(
-                n,
-                ArrayLang::Const(_) | ArrayLang::Sym(_) | ArrayLang::Get(_) | ArrayLang::Call(..)
-            )
-        }),
     }
 }
 

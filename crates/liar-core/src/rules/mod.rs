@@ -89,8 +89,6 @@ pub enum CandidateSet {
     /// solution). The fast default.
     #[default]
     ConstantsAndCalls,
-    /// Constants plus inputs, array elements and library calls.
-    ValueLike,
     /// Every e-class (the paper's §IV.B.4 semantics; explosive).
     All,
 }
@@ -126,9 +124,10 @@ impl RuleConfig {
     /// rulesets.
     pub fn fingerprint(&self) -> u64 {
         let mut h = liar_ir::StableHasher::new();
+        // Byte 1 stays unused: renumbering `All` would move its request
+        // fingerprints.
         h.byte(match self.intro_lambda {
             CandidateSet::ConstantsAndCalls => 0,
-            CandidateSet::ValueLike => 1,
             CandidateSet::All => 2,
         });
         h.byte(self.exhaustive_tuples as u8);

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::attribution::Attribution;
 use crate::explain::{Explain, Explanation, Justification};
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
@@ -42,6 +41,31 @@ impl<L: Language, D> EClass<L, D> {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
+}
+
+/// Running totals of e-graph growth: e-nodes created by
+/// [`add`](EGraph::add) (hash-cons hits create nothing), e-classes merged
+/// away by changed unions, and e-nodes retired by
+/// [`rebuild`](EGraph::rebuild)'s deduplication (spellings that became
+/// equal under congruence). Every fresh e-node also creates its class, so
+/// the totals tie back to the graph's size
+/// ([`assert_invariants`](EGraph::assert_invariants) checks both):
+///
+/// ```text
+/// num_nodes   == nodes_created − nodes_retired
+/// num_classes == nodes_created − classes_merged
+/// ```
+///
+/// The runner reads them around each rule's apply to charge growth to
+/// that rule ([`Iteration::grown`](crate::Iteration::grown)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Growth {
+    /// E-nodes (and with them e-classes) created.
+    pub nodes_created: usize,
+    /// E-classes merged away by unions that changed the graph.
+    pub classes_merged: usize,
+    /// E-nodes retired by rebuild deduplication.
+    pub nodes_retired: usize,
 }
 
 /// An e-graph parameterized over a [`Language`] and an [`Analysis`].
@@ -83,11 +107,8 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     /// while this is set are justified by that rule in the explanation
     /// forest. Set by [`Rewrite::apply`](crate::Rewrite::apply).
     rule_context: Option<(Arc<str>, Arc<Subst<L>>)>,
-    /// The growth-attribution ledger, when enabled (see
-    /// [`with_attribution_enabled`](EGraph::with_attribution_enabled)).
-    /// `None` is the default fast path: each recording site pays one
-    /// branch.
-    attribution: Option<Attribution>,
+    /// Running growth totals (see [`growth`](EGraph::growth)).
+    growth: Growth,
 }
 
 impl<L: Language, A: Analysis<L> + Default> Default for EGraph<L, A> {
@@ -122,7 +143,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             clean: true,
             explain: None,
             rule_context: None,
-            attribution: None,
+            growth: Growth::default(),
         }
     }
 
@@ -163,49 +184,9 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         self.rule_context = context;
     }
 
-    /// Enable growth attribution: every class creation, e-node add and
-    /// merge is charged to its originating rule (or a builtin origin) in
-    /// an [`Attribution`] ledger whose per-origin counts sum exactly to
-    /// the e-graph's node/class totals — see the
-    /// [`attribution`](crate::attribution) module docs for the charging
-    /// rules and the conservation identities.
-    ///
-    /// Like explanations, attribution is strictly observational (the
-    /// e-graph's contents, reports, solutions and proofs are bit-identical
-    /// with it on or off) and the `None` default pays
-    /// one branch per recording site.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph already contains nodes — the conservation
-    /// invariant needs the whole history.
-    pub fn with_attribution_enabled(mut self) -> Self {
-        assert!(
-            self.is_empty(),
-            "attribution must be enabled before any node is added"
-        );
-        self.attribution = Some(Attribution::default());
-        self
-    }
-
-    /// True when this e-graph charges growth to rules.
-    pub fn is_attribution_enabled(&self) -> bool {
-        self.attribution.is_some()
-    }
-
-    /// The growth-attribution ledger, when enabled.
-    pub fn attribution(&self) -> Option<&Attribution> {
-        self.attribution.as_ref()
-    }
-
-    /// Set (or clear) the attribution charging origin — the rule name
-    /// growth is charged to while it applies. Set by
-    /// [`Rewrite::apply`](crate::Rewrite::apply) around each rule's batch;
-    /// a no-op when attribution is disabled.
-    pub fn set_attribution_origin(&mut self, origin: Option<Arc<str>>) {
-        if let Some(attr) = &mut self.attribution {
-            attr.set_origin(origin);
-        }
+    /// The growth totals since this graph was created (see [`Growth`]).
+    pub fn growth(&self) -> Growth {
+        self.growth
     }
 
     /// The e-classes (ascending id) containing at least one e-node whose
@@ -275,6 +256,15 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
                 }
             }
         }
+        // Snapshots carry no history: the restored graph counts as if its
+        // nodes were just added and merged into its classes, so the
+        // growth identities hold from the start.
+        let nodes_created = classes.values().map(|c| c.nodes.len()).sum::<usize>();
+        let growth = Growth {
+            nodes_created,
+            classes_merged: nodes_created.saturating_sub(classes.len()),
+            nodes_retired: 0,
+        };
         EGraph {
             analysis,
             unionfind,
@@ -287,10 +277,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             clean: true,
             explain,
             rule_context: None,
-            // Snapshots carry no ledger: attribution counts from empty
-            // (the conservation identities need the whole history), so a
-            // restored graph starts un-attributed.
-            attribution: None,
+            growth,
         }
     }
 
@@ -426,9 +413,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         // index bucket sorted ascending.
         self.classes_by_op.entry(node.op_key()).or_default().push(id);
         self.memo.insert(node, id);
-        if let Some(attr) = &mut self.attribution {
-            attr.record_add();
-        }
+        self.growth.nodes_created += 1;
         A::modify(self, id);
         self.find_mut(id)
     }
@@ -485,11 +470,8 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         self.classes_by_op.entry(cnode.op_key()).or_default().push(id);
         self.memo.insert(cnode, id);
         // The congruent-spelling path above creates no class and no node
-        // (only a precise id), so it charges nothing; this fresh path
-        // mirrors the unexplained `add`.
-        if let Some(attr) = &mut self.attribution {
-            attr.record_add();
-        }
+        // (only a precise id), so only this fresh path counts one.
+        self.growth.nodes_created += 1;
         A::modify(self, id);
         id
     }
@@ -546,9 +528,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             };
             explain.union(a0, b0, justification, true);
         }
-        if let Some(attr) = &mut self.attribution {
-            attr.record_merge(congruence);
-        }
+        self.growth.classes_merged += 1;
         self.clean = false;
         // Keep the class with more members as the winner to move less data.
         let (winner, loser) = {
@@ -588,14 +568,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         let _ = did;
         A::modify(self, winner);
         (winner, true)
-    }
-
-    /// Union the classes of two expressions (adding them if necessary) —
-    /// convenience for tests and rule bootstrapping.
-    pub fn union_exprs(&mut self, a: &RecExpr<L>, b: &RecExpr<L>) -> Id {
-        let a = self.add_expr(a);
-        let b = self.add_expr(b);
-        self.union(a, b).0
     }
 
     /// Restore congruence and analysis invariants after unions.
@@ -656,8 +628,8 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             class.nodes.sort();
             class.nodes.dedup();
             // The only place e-nodes ever disappear: spellings that became
-            // equal under congruence collapse here. The ledger's node
-            // identity (created − retired == num_nodes) depends on it.
+            // equal under congruence collapse here. The growth identity
+            // (created − retired == num_nodes) depends on it.
             retired += before - class.nodes.len();
 
             for (pnode, pclass) in &mut class.parents {
@@ -675,9 +647,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             class.parents.sort();
             class.parents.dedup();
         }
-        if let Some(attr) = &mut self.attribution {
-            attr.record_retired(retired);
-        }
+        self.growth.nodes_retired += retired;
         // Drop memo entries whose key is no longer canonical.
         let stale: Vec<L> = self
             .memo
@@ -767,10 +737,21 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     ///
     /// # Panics
     ///
-    /// Panics if a congruence or hash-cons invariant is violated. Only call
-    /// on a clean (rebuilt) e-graph.
+    /// Panics if a congruence, hash-cons or [`Growth`] invariant is
+    /// violated. Only call on a clean (rebuilt) e-graph.
     pub fn assert_invariants(&self) {
         assert!(self.clean, "assert_invariants requires a rebuilt egraph");
+        let g = self.growth;
+        assert_eq!(
+            g.nodes_created,
+            self.num_nodes() + g.nodes_retired,
+            "growth {g:?}: created ≠ live + retired nodes"
+        );
+        assert_eq!(
+            g.nodes_created,
+            self.num_classes() + g.classes_merged,
+            "growth {g:?}: created ≠ live + merged classes"
+        );
         for (id, class) in &self.classes {
             assert_eq!(*id, self.find(*id), "class key {id} not canonical");
             assert_eq!(class.id, *id, "class id field mismatch");
@@ -866,59 +847,46 @@ mod tests {
     }
 
     #[test]
-    fn attribution_conserves_through_congruence_repair() {
+    fn growth_totals_follow_adds_merges_and_retirements() {
         // g(f(a)), g(f(b)): one direct union triggers two congruence
-        // merges and retires the duplicated f/g spellings. Every count
-        // must land in the ledger and sum back to the graph's totals.
-        let mut eg = EG::default().with_attribution_enabled();
+        // merges and retires the duplicated f/g spellings.
+        let mut eg = EG::default();
         let a = eg.add(leaf("a"));
         let b = eg.add(leaf("b"));
         let fa = eg.add(SymbolLang::new("f", vec![a]));
         let fb = eg.add(SymbolLang::new("f", vec![b]));
-        let _gfa = eg.add(SymbolLang::new("g", vec![fa]));
-        let _gfb = eg.add(SymbolLang::new("g", vec![fb]));
+        eg.add(SymbolLang::new("g", vec![fa]));
+        eg.add(SymbolLang::new("g", vec![fb]));
+        // A hash-cons hit creates nothing.
+        eg.add(SymbolLang::new("f", vec![a]));
         eg.union(a, b);
-        eg.rebuild();
-        let attr = eg.attribution().expect("enabled");
-        assert_eq!(attr.origin(Attribution::INIT).nodes_created, 6);
-        assert_eq!(attr.origin(Attribution::DIRECT).classes_merged, 1);
-        assert_eq!(attr.origin(Attribution::CONGRUENCE).classes_merged, 2);
-        // f(a)/f(b) and g(f(a))/g(f(b)) collapse to one spelling each.
-        assert_eq!(attr.nodes_retired(), 2);
-        attr.check(eg.num_nodes(), eg.num_classes()).expect("conserves");
+        assert_eq!(eg.rebuild(), 2);
+        let expected = Growth {
+            nodes_created: 6,
+            classes_merged: 3,
+            nodes_retired: 2,
+        };
+        assert_eq!(eg.growth(), expected);
         eg.assert_invariants();
     }
 
     #[test]
-    fn attribution_charges_rules_and_survives_hashcons_hits() {
-        let mut eg = EG::default().with_attribution_enabled();
-        let id = eg.add_expr(&"(+ a b)".parse().unwrap());
-        let rw = crate::Rewrite::from_patterns("comm-add", "(+ ?x ?y)", "(+ ?y ?x)");
-        let matches = rw.search(&eg, usize::MAX);
-        assert_eq!(rw.apply(&mut eg, &matches), 1);
+    fn explained_congruent_spellings_create_no_nodes() {
+        // With explanations on, a spelling congruent to an existing node
+        // gets a precise id of its own but no node and no class.
+        let mut eg = EG::default().with_explanations_enabled();
+        let a = eg.add(leaf("a"));
+        let b = eg.add(leaf("b"));
+        let fa = eg.add(SymbolLang::new("f", vec![a]));
+        eg.union(a, b);
         eg.rebuild();
-        let attr = eg.attribution().expect("enabled");
-        // The rule added the flipped node and merged it into the root.
-        assert_eq!(attr.origin("comm-add").nodes_created, 1);
-        assert_eq!(attr.origin("comm-add").classes_merged, 1);
-        attr.check(eg.num_nodes(), eg.num_classes()).expect("conserves");
-        // Re-applying only hash-conses: nothing new is charged.
-        let before = attr.origin("comm-add");
-        let matches = rw.search(&eg, usize::MAX);
-        assert_eq!(rw.apply(&mut eg, &matches), 0);
-        eg.rebuild();
-        let attr = eg.attribution().expect("enabled");
-        assert_eq!(attr.origin("comm-add"), before);
-        attr.check(eg.num_nodes(), eg.num_classes()).expect("conserves");
-        let _ = id;
-    }
-
-    #[test]
-    #[should_panic(expected = "attribution must be enabled before")]
-    fn attribution_on_nonempty_graph_panics() {
-        let mut eg = EG::default();
-        eg.add(leaf("a"));
-        let _ = eg.with_attribution_enabled();
+        let before = eg.growth();
+        assert_eq!(before.nodes_created, 3);
+        let fb = eg.add(SymbolLang::new("f", vec![b]));
+        assert_ne!(fb, fa, "a precise id for the new spelling");
+        assert_eq!(eg.find(fb), eg.find(fa));
+        assert_eq!(eg.growth(), before);
+        eg.assert_invariants();
     }
 
     #[test]

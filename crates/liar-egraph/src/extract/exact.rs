@@ -196,12 +196,6 @@ impl<'a, L: Language, A: Analysis<L>, C: CostFunction<L, A>> ExactExtractor<'a, 
         }
     }
 
-    /// Replace the default [`ExactBudget`].
-    pub fn with_budget(mut self, budget: ExactBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// The greedy extractor seeding the incumbent (gives access to greedy
     /// DAG costs, tree costs and [`ExtractionStats`] without re-running
     /// anything).

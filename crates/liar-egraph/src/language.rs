@@ -106,23 +106,6 @@ impl<L> Default for RecExpr<L> {
 }
 
 impl<L: Language> RecExpr<L> {
-    /// Create an expression from a post-order node table.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if a node's child points at or past the node
-    /// itself, which would make the table cyclic.
-    pub fn from_nodes(nodes: Vec<L>) -> Self {
-        if cfg!(debug_assertions) {
-            for (i, n) in nodes.iter().enumerate() {
-                for c in n.children() {
-                    debug_assert!(c.index() < i, "child {c} of node {i} out of order");
-                }
-            }
-        }
-        RecExpr { nodes }
-    }
-
     /// Append a node whose children must already be in the table; returns
     /// its index as an [`Id`].
     pub fn add(&mut self, node: L) -> Id {
@@ -170,28 +153,6 @@ impl<L: Language> RecExpr<L> {
         let node = other.node(id).clone();
         let node = node.map_children(|c| self.append_subtree(other, c));
         self.add(node)
-    }
-
-    /// Build an expression by recursively expanding a root with a
-    /// child-resolving closure (used by extractors).
-    pub fn build_from<F>(root: &L, mut resolve: F) -> Self
-    where
-        F: FnMut(Id) -> L,
-    {
-        fn go<L: Language>(
-            expr: &mut RecExpr<L>,
-            node: &L,
-            resolve: &mut dyn FnMut(Id) -> L,
-        ) -> Id {
-            let node = node.clone().map_children(|c| {
-                let child = resolve(c);
-                go(expr, &child, resolve)
-            });
-            expr.add(node)
-        }
-        let mut expr = RecExpr::default();
-        go(&mut expr, root, &mut resolve);
-        expr
     }
 
     fn fmt_node(&self, f: &mut fmt::Formatter<'_>, id: Id) -> fmt::Result {

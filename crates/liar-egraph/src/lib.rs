@@ -30,10 +30,10 @@
 //!   cost-based term extraction (the paper's §V-C extractors are cost
 //!   functions over this engine), with both tree-cost and DAG-cost
 //!   (shared-subterm-charged-once) accounting.
-//! * [`attribution`] — opt-in growth attribution
-//!   ([`EGraph::with_attribution_enabled`]): every class creation, e-node
-//!   add and merge is charged to its originating rule, with a conservation
-//!   invariant tying the per-rule counts to the e-graph's totals.
+//! * [`Growth`] — running totals of e-nodes created, e-classes merged and
+//!   e-nodes retired, tied to the e-graph's size by two identities; the
+//!   runner reads them around each rule's apply, so every [`Iteration`]
+//!   says how much each rule grew the graph.
 //! * [`explain`] — opt-in proof production
 //!   ([`EGraph::with_explanations_enabled`]): every union is recorded in a
 //!   provenance forest, [`EGraph::explain_equivalence`] turns any derived
@@ -69,7 +69,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod analysis;
-pub mod attribution;
 mod dot;
 mod egraph;
 pub mod explain;
@@ -88,9 +87,8 @@ mod symbol_lang;
 mod unionfind;
 
 pub use analysis::{Analysis, DidMerge};
-pub use attribution::{Attribution, OriginCounters};
 pub use dot::Dot;
-pub use egraph::{EClass, EGraph};
+pub use egraph::{EClass, EGraph, Growth};
 pub use explain::{Direction, Explanation, Justification, ProofError, ProofStep};
 pub use extract::{
     AstDepth, AstSize, CostFunction, DagExtractor, ExactBudget, ExactExtractor, ExactOutcome,

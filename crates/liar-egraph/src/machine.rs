@@ -179,17 +179,6 @@ impl<L: Language> Program<L> {
         &self.instrs
     }
 
-    /// Number of e-class registers the program uses.
-    pub fn n_registers(&self) -> usize {
-        self.n_regs
-    }
-
-    /// Number of expression slots (shift-pattern bindings) the program
-    /// uses.
-    pub fn n_expr_slots(&self) -> usize {
-        self.n_exprs
-    }
-
     /// The variables the program binds, with their slots, in
     /// first-occurrence order.
     pub fn outputs(&self) -> &[(Var, Slot)] {

@@ -197,13 +197,6 @@ impl<L: Language> PartialEq for Pattern<L> {
 impl<L: Language> Eq for Pattern<L> {}
 
 impl<L: Language> Pattern<L> {
-    /// Build a pattern from a post-order node table.
-    pub fn from_nodes(nodes: Vec<PatternNode<L>>) -> Self {
-        assert!(!nodes.is_empty(), "empty pattern");
-        let root = Id::from_index(nodes.len() - 1);
-        Pattern::with_root(nodes, root)
-    }
-
     /// Build a pattern with an explicit root, normalizing zero shifts and
     /// compiling the VM program.
     fn with_root(mut nodes: Vec<PatternNode<L>>, root: Id) -> Self {

@@ -264,27 +264,16 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Rewrite<L, A> {
     /// instance* — not whatever term happened to create the matched
     /// class's id.
     pub fn apply(&self, egraph: &mut EGraph<L, A>, matches: &[SearchMatches<L>]) -> usize {
-        // With attribution on, everything this batch adds or merges is
-        // charged to this rule (one Arc per batch; a no-op otherwise).
-        let attributed = egraph.is_attribution_enabled();
-        if attributed {
-            egraph.set_attribution_origin(Some(Arc::from(self.name.as_str())));
+        if egraph.are_explanations_enabled() {
+            return self.apply_explained(egraph, matches);
         }
-        let changed = if egraph.are_explanations_enabled() {
-            self.apply_explained(egraph, matches)
-        } else {
-            let mut changed = 0;
-            for m in matches {
-                for subst in m.substs() {
-                    if !self.applier.apply(egraph, m.class, subst).is_empty() {
-                        changed += 1;
-                    }
+        let mut changed = 0;
+        for m in matches {
+            for subst in m.substs() {
+                if !self.applier.apply(egraph, m.class, subst).is_empty() {
+                    changed += 1;
                 }
             }
-            changed
-        };
-        if attributed {
-            egraph.set_attribution_origin(None);
         }
         changed
     }

@@ -83,6 +83,12 @@ pub struct Iteration {
     /// [`search_candidates`](Iteration::search_candidates) and
     /// [`search_matches`](Iteration::search_matches).
     pub searched: Vec<(usize, usize)>,
+    /// Per-rule growth, aligned with [`applied`](Iteration::applied):
+    /// `(e-nodes created, e-classes merged)` while the rule applied, read
+    /// from [`EGraph::growth`] before and after its batch. Hash-cons hits
+    /// create nothing; the merges congruence repair makes afterwards are
+    /// [`rebuild_unions`](Iteration::rebuild_unions).
+    pub grown: Vec<(usize, usize)>,
     /// Unions performed by congruence repair during rebuild.
     pub rebuild_unions: usize,
     /// Candidate e-classes scheduled for matching across all unbanned
@@ -344,9 +350,16 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         let apply_start = Instant::now();
         let apply_span = self.trace.begin("apply");
         let mut applied = Vec::with_capacity(rules.len());
+        let mut grown = Vec::with_capacity(rules.len());
         for (rule, matches) in rules.iter().zip(&all_matches) {
             let rule_span = self.trace.begin_args(format_args!("apply/{}", rule.name()));
+            let before = self.egraph.growth();
             let changed = rule.apply(&mut self.egraph, matches);
+            let after = self.egraph.growth();
+            grown.push((
+                after.nodes_created - before.nodes_created,
+                after.classes_merged - before.classes_merged,
+            ));
             self.trace.end_with(rule_span, &[("changed", changed as f64)]);
             if changed > 0 {
                 if let Some(flight) = &self.flight {
@@ -372,6 +385,7 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             n_classes: self.egraph.num_classes(),
             applied,
             searched,
+            grown,
             rebuild_unions,
             search_candidates,
             frontier_candidates: search_candidates,
@@ -624,6 +638,7 @@ mod tests {
         for (p, t) in plain.iterations.iter().zip(&traced.iterations) {
             assert_eq!(p.n_nodes, t.n_nodes, "step {}", p.index);
             assert_eq!(p.applied, t.applied, "step {}", p.index);
+            assert_eq!(p.grown, t.grown, "step {}", p.index);
             assert_eq!(p.search_matches, t.search_matches, "step {}", p.index);
         }
 
@@ -684,6 +699,43 @@ mod tests {
             let spans = events.iter().filter(|e| e.name == name).count();
             assert_eq!(spans, steps, "{name}: one span per step");
         }
+    }
+
+    #[test]
+    fn grown_charges_fresh_nodes_and_merges_to_the_applying_rule() {
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        eg.add_expr(&"(+ a b)".parse().unwrap());
+        let mut runner = Runner::new(eg).with_iter_limit(2);
+        runner.run(&[comm()]);
+        // Step 1 adds `(+ b a)` and merges it into the root class; step 2
+        // only hash-conses onto nodes that exist, which charges nothing.
+        assert_eq!(runner.iterations[0].grown, [(1, 1)]);
+        assert_eq!(runner.iterations[1].grown, [(0, 0)]);
+        runner.egraph.assert_invariants();
+    }
+
+    #[test]
+    fn congruence_merges_are_rebuild_unions_not_the_rules() {
+        // `a → b` over g(f(a)), g(f(b)): the rule merges a into b, then
+        // congruence repair merges f(a)/f(b) and g(f(a))/g(f(b)) and
+        // retires the duplicated spellings.
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        for x in ["a", "b"] {
+            eg.add_expr(&format!("(g (f {x}))").parse().unwrap());
+        }
+        let a_to_b = Rewrite::from_patterns("a-to-b", "a", "b");
+        let mut runner = Runner::new(eg).with_iter_limit(1);
+        runner.run(&[a_to_b]);
+        let it = &runner.iterations[0];
+        assert_eq!(it.grown, [(0, 1)]);
+        assert_eq!(it.rebuild_unions, 2);
+        let expected = crate::Growth {
+            nodes_created: 6,
+            classes_merged: 3,
+            nodes_retired: 2,
+        };
+        assert_eq!(runner.egraph.growth(), expected);
+        runner.egraph.assert_invariants();
     }
 
     #[test]

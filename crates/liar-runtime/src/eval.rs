@@ -70,13 +70,6 @@ pub struct EvalStats {
     pub lib_calls: usize,
 }
 
-impl EvalStats {
-    /// Total time spent inside library functions.
-    pub fn total_lib_time(&self) -> Duration {
-        self.lib_time.values().sum()
-    }
-}
-
 struct Interp<'a> {
     expr: &'a Expr,
     inputs: &'a HashMap<String, Value>,

@@ -659,9 +659,10 @@ fn job_pipeline(
         .with_explanations(explain)
         .with_profiles(profiles)
         .with_cache(Arc::clone(&shared.cache))
-        // Live introspection (the `introspect` op): growth attribution and
-        // the flight recorder are observational, so answers are
-        // bit-identical to an unobserved run.
+        // Live introspection (the `introspect` op): every cold report
+        // carries its growth tables, and the flight recorder keeps recent
+        // events. Both are observational, so answers are bit-identical to
+        // an unobserved run.
         .with_attribution(true)
         .with_flight(Arc::clone(&shared.flight));
     if let Some(store) = &shared.store {

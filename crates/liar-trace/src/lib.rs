@@ -247,16 +247,6 @@ impl TraceSink {
         self.shared.as_ref()
     }
 
-    /// A sibling sink on its own lane of the same recorder (detached if
-    /// this sink is detached). Lets an owner hand deterministic lanes to
-    /// helper roles.
-    pub fn fork(&self, lane_name: &str) -> TraceSink {
-        match &self.shared {
-            Some(r) => TraceSink::attached(r, lane_name),
-            None => TraceSink::off(),
-        }
-    }
-
     #[inline]
     fn now_us(&self) -> u64 {
         match &self.shared {

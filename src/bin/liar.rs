@@ -799,7 +799,7 @@ fn run_inspect(p: &Parsed) -> Result<ExitCode, String> {
     let report = Liar::new(targets[0])
         .with_iter_limit(steps)
         .inspect(&expr, &targets);
-    // The conservation invariant is the whole point of the ledger: a
+    // The conservation invariant is the whole point of the tables: a
     // violation is a bug worth a non-zero exit, not a footnote.
     report
         .check()

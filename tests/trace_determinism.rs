@@ -1,6 +1,6 @@
 //! The tracing + attribution wall: attaching a
-//! [`liar::trace::Recorder`] or enabling the growth-attribution ledger
-//! is strictly observational — reports, solutions and proofs are
+//! [`liar::trace::Recorder`] or asking for the growth tables
+//! (`Liar::with_attribution`) is strictly observational — reports, solutions and proofs are
 //! **bit-identical** with the observer on or off. If these break,
 //! profiling (or inspecting) a run changes what LIAR discovers, and every
 //! measurement is suspect.
@@ -8,9 +8,9 @@
 //! Also pins the export contract the acceptance criteria name: the
 //! Chrome trace-event JSON parses (with the repo's own parser) and its
 //! phase spans nest properly for real kernels (gemv, mvt), each pipeline
-//! call traces onto one lane whose self-times reconcile, and the
-//! attribution ledger's conservation identities hold on **every**
-//! evaluation kernel under the union ruleset.
+//! call traces onto one lane whose self-times reconcile, and the growth
+//! tables' conservation identities hold on **every** evaluation kernel
+//! under the union ruleset.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -132,7 +132,8 @@ fn each_pipeline_call_traces_one_lane_whose_self_times_reconcile() {
 fn optimize_multi(expr: &Expr, trace: Option<&Arc<Recorder>>) -> MultiReport {
     let mut pipeline = Liar::new(Target::Blas)
         .with_iter_limit(6)
-        .with_explanations(true);
+        .with_explanations(true)
+        .with_attribution(true);
     if let Some(rec) = trace {
         pipeline = pipeline.with_trace(Arc::clone(rec));
     }
@@ -152,6 +153,9 @@ fn tracing_is_invisible_to_multi_solutions_and_proofs() {
     assert_eq!(plain.stop_reason, traced.stop_reason, "{ctx}");
     assert_eq!(plain.n_nodes, traced.n_nodes, "{ctx}");
     assert_eq!(plain.n_classes, traced.n_classes, "{ctx}");
+    // The growth tables fold every step's per-rule record.
+    assert!(plain.inspect.is_some(), "{ctx}: no growth tables");
+    assert_eq!(plain.inspect, traced.inspect, "{ctx}: growth tables");
     assert_eq!(plain.solutions.len(), traced.solutions.len(), "{ctx}");
     for (a, b) in plain.solutions.iter().zip(&traced.solutions) {
         let t = a.target.name();
@@ -236,11 +240,11 @@ fn attribution_is_invisible_to_reports_solutions_and_proofs() {
         let on = optimize_multi_attributed(&expr, true);
 
         assert_multi_semantically_identical(&off, &on, ctx);
-        assert!(off.inspect.is_none(), "{ctx}: ledger off but tables present");
+        assert!(off.inspect.is_none(), "{ctx}: attribution off but tables present");
         let inspect = on
             .inspect
             .as_ref()
-            .unwrap_or_else(|| panic!("{ctx}: ledger on but no tables"));
+            .unwrap_or_else(|| panic!("{ctx}: attribution on but no tables"));
         inspect
             .check()
             .unwrap_or_else(|e| panic!("{ctx}: conservation violated: {e}"));
@@ -263,7 +267,7 @@ fn conservation_holds_on_every_kernel_under_the_union_ruleset() {
         // Attribution charged real work, not just the initial program.
         assert!(
             report.total_nodes_created() > 0 && report.rule("(init)").is_some(),
-            "{}: empty ledger",
+            "{}: no growth attributed",
             kernel.name()
         );
     }
