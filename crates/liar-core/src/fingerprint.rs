@@ -46,7 +46,10 @@ use crate::rules::{RuleConfig, Target};
 /// v5: R-IntroIndexBuild pairs its matches with loop extents only, so
 /// PyTorch and union-ruleset graphs (and their reports' `n_nodes`) shrank;
 /// a warm store written under v4 would answer with the old graph.
-const FINGERPRINT_VERSION: u8 = 5;
+///
+/// v6: R-IntroLambda's argument ranges over the classes of `%0` and `%1`
+/// only, so graphs (and their reports' `n_nodes`) shrank.
+const FINGERPRINT_VERSION: u8 = 6;
 
 /// The content address of one optimization request (see the module docs).
 ///

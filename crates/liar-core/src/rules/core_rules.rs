@@ -148,29 +148,38 @@ fn intro_lambda_candidate_class(
     }
 }
 
+/// The loop indices R-IntroLambda abstracts over: `%0` is the index of a
+/// `build`'s λ, and `%1` that of an `ifold`'s outer λ, whose accumulator
+/// is `%0`.
+const LOOP_INDICES: [ArrayLang; 2] = [ArrayLang::Var(0), ArrayLang::Var(1)];
+
 /// R-IntroLambda: `e → (λ e↑) y` for every candidate argument class `y`.
+///
+/// By default `y` is the class of `%0` or `%1`: every chain abstracts a
+/// value over the index of the loop that directly encloses it, as in
+/// `1 = (build n (λ 1))[%0]` and vsum's `(get (build #8 (lam 1)) %1)`.
+/// Both are hash-consed leaves, so the set has at most two classes, and
+/// the rule's own output cannot grow it. Exhaustive mode pairs every
+/// class.
 struct IntroLambdaSearcher {
     config: RuleConfig,
-    ys: AuxMemo,
     cands: AuxMemo,
     y: Var,
 }
 
 impl IntroLambdaSearcher {
-    /// Candidate arguments y: classes containing a De Bruijn variable
-    /// (every known chain abstracts over a loop index), or every class in
-    /// exhaustive mode. Memoized per snapshot.
-    fn ys(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
-        let exhaustive = self.config.intro_lambda == CandidateSet::All;
-        self.ys.get(egraph, || {
-            let mut out: Vec<Id> = egraph
-                .classes()
-                .filter(|c| exhaustive || c.data.has_var)
-                .map(|c| c.id)
-                .collect();
-            out.sort_unstable();
-            out
-        })
+    /// The candidate arguments `y`, sorted, deduplicated and canonical.
+    fn ys(&self, egraph: &AEGraph) -> Vec<Id> {
+        if self.config.intro_lambda == CandidateSet::All {
+            return egraph.class_ids();
+        }
+        let mut out: Vec<Id> = LOOP_INDICES
+            .iter()
+            .filter_map(|v| egraph.lookup(v.clone()))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -188,9 +197,9 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
             return vec![];
         }
         self.ys(egraph)
-            .iter()
+            .into_iter()
             .take(limit)
-            .map(|&y| {
+            .map(|y| {
                 let mut s = Subst::default();
                 s.insert(self.y, Binding::Class(y));
                 s
@@ -239,11 +248,11 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
         };
         let explained = egraph.are_explanations_enabled();
         if explained {
-            // Precise provenance for the argument: prefer the class's De
-            // Bruijn variable member (that is what made it a candidate),
-            // so the recorded proof term spells `(λ e↑) %i` and the step
-            // replays against the searcher's `has_var` gate.
-            let var = egraph[y].iter().find(|n| matches!(n, ArrayLang::Var(_))).cloned();
+            // Precise provenance for the argument: spell it as the class's
+            // `%0` or `%1` member (that is what made it a candidate), so
+            // the recorded proof term reads `(λ e↑) %i` and the step
+            // replays against the searcher's bound.
+            let var = egraph[y].iter().find(|n| LOOP_INDICES.contains(n)).cloned();
             if let Some(var) = var {
                 y = egraph.add(var);
             }
@@ -546,7 +555,7 @@ pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
         ),
         Rewrite::new(
             "intro-lambda",
-            IntroLambdaSearcher { config, ys: AuxMemo::default(), cands: AuxMemo::default(), y },
+            IntroLambdaSearcher { config, cands: AuxMemo::default(), y },
             IntroLambdaApplier { y },
         ),
         Rewrite::from_patterns("elim-index-build", "(get (build ?n ?f) ?i)", "(app ?f ?i)"),
@@ -722,6 +731,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn intro_lambda_abstracts_over_the_innermost_loop_index_only() {
+        // A gemm-like nest whose innermost body reads %0–%3. Alone,
+        // R-IntroLambda makes every `app` in the graph, and each takes
+        // %0 or %1 (pairing every class holding an index also took %2
+        // and %3).
+        let mut eg = ArrayEGraph::default();
+        eg.add_expr(&e(
+            "(build #8 (lam (build #8 (lam (ifold #8 0 (lam (lam \
+             (+ (* 2.5 (* (get (get A %3) %1) (get (get B %1) %2))) %0))))))))",
+        ));
+        let intro_lambda: Vec<_> = core_rules(&RuleConfig::default())
+            .into_iter()
+            .filter(|r| r.name() == "intro-lambda")
+            .collect();
+        let mut runner = Runner::new(eg).with_iter_limit(3);
+        runner.run(&intro_lambda);
+        let eg = &runner.egraph;
+        let loop_indices = LOOP_INDICES.map(|v| eg.lookup(v).unwrap());
+        for v in ["%2", "%3"] {
+            assert!(eg.lookup_expr(&e(v)).is_some(), "{v} is in the graph");
+        }
+        let mut redexes = 0;
+        for class in eg.classes() {
+            for node in &class.nodes {
+                if let ArrayLang::App([_, y]) = node {
+                    redexes += 1;
+                    assert!(
+                        loop_indices.contains(&eg.find(*y)),
+                        "redex in class {} takes {}",
+                        class.id,
+                        eg.data(*y).repr
+                    );
+                }
+            }
+        }
+        assert!(redexes > 0, "the rule fired");
+    }
+
+    #[test]
+    fn intro_lambda_still_finds_the_ifold_chain() {
+        // vsum's `1 × dot` reads `1` as the constant array `(build #8
+        // (lam 1))` indexed by the ifold's outer index, %1.
+        let mut eg = ArrayEGraph::default();
+        eg.add_expr(&liar_ir::dsl::vsum(8, e("xs")));
+        let config = RuleConfig::default();
+        let mut rules = core_rules(&config);
+        rules.extend(crate::rules::scalar_rules(&config));
+        let mut runner = Runner::new(eg)
+            .with_iter_limit(4)
+            .with_scheduler(BackoffScheduler::default());
+        runner.run(&rules);
+        let eg = &runner.egraph;
+        let one = eg.lookup_expr(&e("1")).expect("x → 1*x made 1");
+        assert_eq!(
+            eg.lookup_expr(&e("(get (build #8 (lam 1)) %1)")),
+            Some(eg.find(one))
+        );
     }
 
     #[test]

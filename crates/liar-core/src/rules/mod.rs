@@ -63,7 +63,10 @@ impl std::fmt::Display for Target {
 /// graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleConfig {
-    /// Which classes `R-IntroLambda` abstracts over.
+    /// Which classes `R-IntroLambda` wraps in `(λ e↑) y`. Under
+    /// [`CandidateSet::All`] its argument `y` is any class too; otherwise
+    /// `y` is the class of `%0` or `%1`, the index of the loop that
+    /// directly encloses the value.
     pub intro_lambda: CandidateSet,
     /// Instantiate the tuple intro rules over all classes rather than the
     /// components already occurring under tuples.

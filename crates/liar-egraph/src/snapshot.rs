@@ -91,7 +91,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LIARSNAP";
 /// The current snapshot format version. Bumped on any layout or
 /// semantics change; snapshots of other versions are rejected with
 /// [`SnapshotError::VersionMismatch`] (re-saturating is always sound).
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A structured snapshot failure: every way `snapshot()`/`restore()` can
 /// refuse, with enough context to log. Restore never panics on corrupt

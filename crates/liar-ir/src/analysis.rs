@@ -51,7 +51,12 @@ struct ReprNode {
 
 impl Repr {
     fn node(enode: &ArrayLang, mut child: impl FnMut(Id) -> Repr) -> Self {
-        let children: Box<[Repr]> = enode.children().iter().map(|&c| child(c)).collect();
+        Repr::over(enode, enode.children().iter().map(|&c| child(c)).collect())
+    }
+
+    /// The term of `enode` over `children`, its children's terms in child
+    /// order.
+    fn over(enode: &ArrayLang, children: Box<[Repr]>) -> Self {
         let len = 1 + children.iter().map(Repr::len).sum::<usize>();
         Repr::with(len, enode.clone(), children)
     }
@@ -200,9 +205,6 @@ pub struct ClassData {
     pub extent: Option<usize>,
     /// The value when this class contains a float constant.
     pub constant: Option<Num>,
-    /// True when some member is a De Bruijn variable (used by the intro
-    /// rules to pick candidate `y` classes cheaply).
-    pub has_var: bool,
 }
 
 /// The leading array extent of a node's value, given a resolver for `Dim`
@@ -277,7 +279,6 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
             extent,
             dim: enode.as_dim(),
             constant: enode.as_const().map(Num::new),
-            has_var: matches!(enode, ArrayLang::Var(_)),
         }
     }
 
@@ -325,12 +326,6 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
             (Some(_), None) => did.1 = true,
             _ => {}
         }
-        if b.has_var && !a.has_var {
-            a.has_var = true;
-            did.0 = true;
-        } else if a.has_var && !b.has_var {
-            did.1 = true;
-        }
         did
     }
 
@@ -370,7 +365,7 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         } else {
             let mask = (1u64 << k) - 1;
             ShiftableFinder::new(egraph).find(id, mask).map(|found| {
-                let down = debruijn::try_shift_down(&found, k);
+                let down = debruijn::try_shift_down(found.expr(), k);
                 debug_assert!(down.is_some(), "finder returned non-shiftable term");
                 Arc::new(down.expect("checked"))
             })
@@ -417,7 +412,6 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
         w.write_opt_u64(data.dim.map(|d| d as u64));
         w.write_opt_u64(data.extent.map(|e| e as u64));
         w.write_opt_u64(data.constant.map(|c| c.get().to_bits()));
-        w.write_bool(data.has_var);
     }
 
     fn read_data(
@@ -450,7 +444,6 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
             }
             None => None,
         };
-        let has_var = r.read_bool()?;
         Ok(ClassData {
             free,
             repr,
@@ -458,7 +451,6 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
             dim,
             extent,
             constant,
-            has_var,
         })
     }
 }
@@ -468,10 +460,12 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
 ///
 /// This is the "downshift extractor" behind matching `A↑ᵏ` patterns: a
 /// class matches `?a` shifted up by `k` exactly when it contains a term
-/// with no free index `< k`.
+/// with no free index `< k`. Each candidate is a shared [`Repr`] node over
+/// its children's terms, so trying a member costs O(arity); the caller
+/// flattens only the winner.
 struct ShiftableFinder<'a> {
     egraph: &'a EGraph<ArrayLang, ArrayAnalysis>,
-    memo: FxHashMap<(Id, u64), Option<Arc<Expr>>>,
+    memo: FxHashMap<(Id, u64), Option<Repr>>,
     visiting: Vec<(Id, u64)>,
 }
 
@@ -484,10 +478,10 @@ impl<'a> ShiftableFinder<'a> {
         }
     }
 
-    fn find(&mut self, class: Id, mask: u64) -> Option<Arc<Expr>> {
+    fn find(&mut self, class: Id, mask: u64) -> Option<Repr> {
         let class = self.egraph.find(class);
         if mask == 0 {
-            return Some(Arc::clone(self.egraph.data(class).repr.expr()));
+            return Some(self.egraph.data(class).repr.clone());
         }
         // Sound early reject: a bit in the optimistic (intersection) set is
         // free in every member.
@@ -502,7 +496,7 @@ impl<'a> ShiftableFinder<'a> {
             return None; // Break cycles; another member must provide it.
         }
         self.visiting.push(key);
-        let mut best: Option<Arc<Expr>> = None;
+        let mut best: Option<Repr> = None;
         for node in &self.egraph[class].nodes {
             let candidate = self.node_term(node, mask);
             if let Some(c) = candidate {
@@ -516,41 +510,20 @@ impl<'a> ShiftableFinder<'a> {
         best
     }
 
-    fn node_term(&mut self, node: &ArrayLang, mask: u64) -> Option<Arc<Expr>> {
-        match node {
-            ArrayLang::Var(i) => {
-                if *i < 64 && mask & (1 << i) != 0 {
-                    return None;
-                }
-                let mut e = Expr::default();
-                e.add(ArrayLang::Var(*i));
-                Some(Arc::new(e))
-            }
-            ArrayLang::Lam(body) => {
-                // Under a binder, forbidden index i becomes i+1; the new
-                // index 0 is always allowed.
-                let inner = self.find(*body, mask << 1)?;
-                let mut e = Expr::default();
-                let root = e.append_subtree(&inner, inner.root());
-                e.add(ArrayLang::Lam(root));
-                Some(Arc::new(e))
-            }
-            _ => {
-                let mut children = Vec::with_capacity(node.children().len());
-                for c in node.children() {
-                    children.push(self.find(*c, mask)?);
-                }
-                let mut e = Expr::default();
-                let mut i = 0;
-                let node = node.clone().map_children(|_| {
-                    let sub = &children[i];
-                    i += 1;
-                    e.append_subtree(sub, sub.root())
-                });
-                e.add(node);
-                Some(Arc::new(e))
-            }
-        }
+    fn node_term(&mut self, node: &ArrayLang, mask: u64) -> Option<Repr> {
+        let child_mask = match node {
+            ArrayLang::Var(i) if *i < 64 && mask & (1 << i) != 0 => return None,
+            // Under a binder, forbidden index i becomes i+1; the new index
+            // 0 is always allowed.
+            ArrayLang::Lam(_) => mask << 1,
+            _ => mask,
+        };
+        let children = node
+            .children()
+            .iter()
+            .map(|&c| self.find(c, child_mask))
+            .collect::<Option<_>>()?;
+        Some(Repr::over(node, children))
     }
 }
 
@@ -703,6 +676,29 @@ mod tests {
     }
 
     #[test]
+    fn downshift_finds_the_smallest_member_below_a_cycle() {
+        // A = {(fst B)} and B = {(get ys %0), (snd A), two closed sums}:
+        // the finder reaches B from A, breaks the cycle back through
+        // (snd A), and keeps the smaller closed sum.
+        let mut eg = ArrayEGraph::default();
+        let b = eg.add_expr(&e("(get ys %0)"));
+        let a = eg.add(ArrayLang::Fst(b));
+        let snd_a = eg.add(ArrayLang::Snd(a));
+        let small = eg.add_expr(&e("(+ (+ zs 1) 2)"));
+        let large = eg.add_expr(&e("(+ (+ (+ zs 1) 2) 3)"));
+        for member in [snd_a, large, small] {
+            eg.union(b, member);
+        }
+        eg.rebuild();
+        // Both representatives are open, so the finder runs.
+        assert_eq!(eg.data(a).repr.to_string(), "(fst (get ys %0))");
+        let down = ArrayAnalysis::downshift(&eg, a, 1).unwrap();
+        assert_eq!(*down, e("(fst (+ (+ zs 1) 2))"));
+        let down = ArrayAnalysis::downshift(&eg, b, 2).unwrap();
+        assert_eq!(*down, e("(+ (+ zs 1) 2)"));
+    }
+
+    #[test]
     fn snapshot_round_trips_analysis_data() {
         let mut eg = ArrayEGraph::default();
         let big = eg.add_expr(&e("(+ (+ x 0) 0)"));
@@ -731,7 +727,7 @@ mod tests {
 
     /// One class's analysis bytes around a hand-written representative
     /// table: empty variable sets, the `entries` (operator and child
-    /// indices), the root index, and no dim, extent, constant or variable.
+    /// indices), the root index, and no dim, extent or constant.
     fn class_bytes(entries: &[(&str, Vec<u32>)], root: u32) -> Vec<u8> {
         let mut w = SnapshotWriter::default();
         for _ in 0..2 {
@@ -750,7 +746,6 @@ mod tests {
         for _ in 0..3 {
             w.write_opt_u64(None);
         }
-        w.write_bool(false);
         w.into_bytes()
     }
 

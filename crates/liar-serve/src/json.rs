@@ -188,18 +188,22 @@ impl std::error::Error for JsonError {}
 
 /// Parse a complete JSON document (trailing garbage is an error).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        input,
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -388,16 +392,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 passes through unchanged; the
-                    // input is a &str, so it is already valid.
-                    let s = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(s)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one step. Those bytes are ASCII, so
+                    // the run ends on a char boundary of the input, and
+                    // multi-byte UTF-8 passes through unchanged.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos = start + run;
+                    out.push_str(&self.input[start..self.pos]);
                 }
             }
         }
@@ -451,6 +456,22 @@ mod tests {
         assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::Str("😀".into()));
         assert_eq!(roundtrip("\"×\""), "\"×\"");
         assert_eq!(parse("\"\\u0007\"").unwrap().to_json(), "\"\\u0007\"");
+    }
+
+    #[test]
+    fn long_strings_roundtrip_in_runs() {
+        // Runs of plain text (multi-byte characters included) between
+        // every escape the writer emits, long enough that a parser paying
+        // for the rest of the input per character would be slow.
+        let chunk = "proof (×3 → é😀) \" \\ \n \r \t \u{08} \u{0c} \u{01} \u{1f} / ";
+        let long = chunk.repeat(20_000);
+        let encoded = Json::Str(long.clone()).to_json();
+        assert_eq!(parse(&encoded).unwrap(), Json::Str(long));
+        assert_eq!(parse(r#""a\/b""#).unwrap(), Json::Str("a/b".into()));
+        // A raw control byte is still rejected, after a run or at its start.
+        for bad in ["\"ab\u{01}cd\"", "\"\ncd\"", "\"é\u{1f}\""] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
     }
 
     #[test]
