@@ -159,9 +159,8 @@ mod tests {
     fn saturate(expr: &Expr, iters: usize) -> (Runner<liar_ir::ArrayLang, liar_ir::ArrayAnalysis>, liar_egraph::Id) {
         let mut eg = ArrayEGraph::default();
         let root = eg.add_expr(expr);
-        let config = RuleConfig::default();
-        let mut rules = core_rules(&config);
-        rules.extend(scalar_rules(&config));
+        let mut rules = core_rules(&RuleConfig::default());
+        rules.extend(scalar_rules());
         rules.extend(blas_rules());
         let mut runner = Runner::new(eg).with_iter_limit(iters).with_node_limit(200_000);
         runner.run(&rules);

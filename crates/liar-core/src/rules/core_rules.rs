@@ -9,7 +9,7 @@
 //! * **R-IntroLambda**, **R-IntroIndexBuild**, **R-IntroFstTuple** and
 //!   **R-IntroSndTuple** have unbound variables on their right-hand sides
 //!   (§IV.B.4); their searchers enumerate candidate e-classes for those
-//!   variables — every class under [`RuleConfig::exhaustive`], a bounded
+//!   variables — every class under [`RuleConfig::exhaustive()`], a bounded
 //!   candidate set by default. R-IntroIndexBuild's extent is bounded in
 //!   every mode: it ranges over the loop extents (the extents of `build`
 //!   and `ifold` nodes), a set its own output cannot grow.
@@ -19,13 +19,11 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use liar_egraph::{
-    Applier, Binding, EGraph, Id, Language, Pattern, Rewrite, SearchMatches, Searcher, Subst, Var,
-};
+use liar_egraph::{Applier, Binding, EGraph, Id, Language, Pattern, Rewrite, Searcher, Subst, Var};
 use liar_ir::debruijn::{shift_up, subst as debruijn_subst};
 use liar_ir::{ArrayAnalysis, ArrayLang, ArrayRewrite, Expr};
 
-use super::{CandidateSet, RuleConfig};
+use super::RuleConfig;
 
 type AEGraph = EGraph<ArrayLang, ArrayAnalysis>;
 
@@ -54,29 +52,6 @@ impl AuxMemo {
         *slot = Some((key.0, key.1, Arc::clone(&list)));
         list
     }
-}
-
-/// Whole-graph search expressed exactly as the [`Searcher`] per-class
-/// contract requires: `search_class` over ascending class ids with the
-/// limit applied across classes in that order.
-fn search_per_class<S: Searcher<ArrayLang, ArrayAnalysis>>(
-    searcher: &S,
-    egraph: &AEGraph,
-    limit: usize,
-) -> Vec<SearchMatches<ArrayLang>> {
-    let mut total = 0;
-    let mut out = Vec::new();
-    for class in egraph.class_ids() {
-        if total >= limit {
-            break;
-        }
-        let substs = searcher.search_class(egraph, class, limit - total);
-        if !substs.is_empty() {
-            total += substs.len();
-            out.push(SearchMatches::new(class, substs));
-        }
-    }
-    out
 }
 
 fn resolve_expr(egraph: &AEGraph, binding: &Binding<ArrayLang>) -> Arc<Expr> {
@@ -128,24 +103,19 @@ impl Applier<ArrayLang, ArrayAnalysis> for BetaReduceApplier {
     }
 }
 
-/// Whether a class is a candidate for λ-abstraction under the configured
-/// [`CandidateSet`]: the constant-array chains of §IV.C.2 and §V.A abstract
-/// over constants; the exhaustive mode abstracts over every class.
-fn intro_lambda_candidate(egraph: &AEGraph, id: Id, set: CandidateSet) -> bool {
-    intro_lambda_candidate_class(&egraph[id], set)
-}
-
-fn intro_lambda_candidate_class(
+/// Whether R-IntroLambda wraps a class `e` in `(λ e↑) y`: in exhaustive
+/// mode every class; by default a class holding a float constant or a
+/// library call — the §IV.C.2 / §V.A constant-array chains
+/// (`1 → (build n (λ 1))[i]`) plus the zero-matrix rows that gemm
+/// recognition needs (`memset(0) → (build n (λ memset(0)↑))[i]`, the
+/// paper's doitgen solution).
+fn intro_lambda_candidate(
     class: &liar_egraph::EClass<ArrayLang, liar_ir::ClassData>,
-    set: CandidateSet,
+    exhaustive: bool,
 ) -> bool {
-    match set {
-        CandidateSet::All => true,
-        CandidateSet::ConstantsAndCalls => {
-            class.data.constant.is_some()
-                || class.iter().any(|n| matches!(n, ArrayLang::Call(..)))
-        }
-    }
+    exhaustive
+        || class.data.constant.is_some()
+        || class.iter().any(|n| matches!(n, ArrayLang::Call(..)))
 }
 
 /// The loop indices R-IntroLambda abstracts over: `%0` is the index of a
@@ -162,7 +132,7 @@ const LOOP_INDICES: [ArrayLang; 2] = [ArrayLang::Var(0), ArrayLang::Var(1)];
 /// the rule's own output cannot grow it. Exhaustive mode pairs every
 /// class.
 struct IntroLambdaSearcher {
-    config: RuleConfig,
+    exhaustive: bool,
     cands: AuxMemo,
     y: Var,
 }
@@ -170,7 +140,7 @@ struct IntroLambdaSearcher {
 impl IntroLambdaSearcher {
     /// The candidate arguments `y`, sorted, deduplicated and canonical.
     fn ys(&self, egraph: &AEGraph) -> Vec<Id> {
-        if self.config.intro_lambda == CandidateSet::All {
+        if self.exhaustive {
             return egraph.class_ids();
         }
         let mut out: Vec<Id> = LOOP_INDICES
@@ -184,16 +154,8 @@ impl IntroLambdaSearcher {
 }
 
 impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
-    fn search(&self, egraph: &AEGraph, limit: usize) -> Vec<SearchMatches<ArrayLang>> {
-        search_per_class(self, egraph, limit)
-    }
-
-    fn can_search_per_class(&self) -> bool {
-        true
-    }
-
     fn search_class(&self, egraph: &AEGraph, class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
-        if !intro_lambda_candidate(egraph, class, self.config.intro_lambda) {
+        if !intro_lambda_candidate(&egraph[class], self.exhaustive) {
             return vec![];
         }
         self.ys(egraph)
@@ -208,20 +170,19 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
     }
 
     fn candidate_class_ids(&self, egraph: &AEGraph) -> Option<Vec<Id>> {
-        if self.config.intro_lambda == CandidateSet::All || !egraph.is_clean() {
+        if self.exhaustive {
             return None;
         }
         // Classes passing the candidate check, memoized per snapshot —
         // sound because `search_class` is empty everywhere else. A class
         // only enters this set through recorded dirt: gaining a node
         // (add/union) or an analysis refinement (constant discovered).
-        let set = self.config.intro_lambda;
         Some(
             self.cands
                 .get(egraph, || {
                     let mut out: Vec<Id> = egraph
                         .classes()
-                        .filter(|c| intro_lambda_candidate_class(c, set))
+                        .filter(|c| intro_lambda_candidate(c, false))
                         .map(|c| c.id)
                         .collect();
                     out.sort_unstable();
@@ -333,14 +294,6 @@ impl IntroIndexBuildSearcher {
 }
 
 impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
-    fn search(&self, egraph: &AEGraph, limit: usize) -> Vec<SearchMatches<ArrayLang>> {
-        search_per_class(self, egraph, limit)
-    }
-
-    fn can_search_per_class(&self) -> bool {
-        true
-    }
-
     fn search_class(&self, egraph: &AEGraph, class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
         let extents = self.extents(egraph);
         let mut substs = Vec::new();
@@ -361,9 +314,6 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
     }
 
     fn candidate_class_ids(&self, egraph: &AEGraph) -> Option<Vec<Id>> {
-        if !egraph.is_clean() {
-            return None;
-        }
         // Only classes containing an `app` node can match: the operator
         // index answers exactly that (sorted, canonical on a clean graph).
         let key = ArrayLang::App([Id::from_index(0); 2]).op_key();
@@ -432,7 +382,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
 /// tuple would put its `a` under a tuple, and from the second step on the
 /// set would hold every class.)
 struct IntroTupleSearcher {
-    config: RuleConfig,
+    exhaustive: bool,
     components: Arc<AuxMemo>,
     b: Var,
 }
@@ -442,7 +392,7 @@ impl IntroTupleSearcher {
     /// deduplicated and canonical; memoized per snapshot.
     fn components(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
         self.components.get(egraph, || {
-            let mut c: Vec<Id> = if self.config.exhaustive_tuples {
+            let mut c: Vec<Id> = if self.exhaustive {
                 egraph.class_ids()
             } else {
                 let mut c = Vec::new();
@@ -464,19 +414,9 @@ impl IntroTupleSearcher {
 }
 
 impl Searcher<ArrayLang, ArrayAnalysis> for IntroTupleSearcher {
-    fn search(&self, egraph: &AEGraph, limit: usize) -> Vec<SearchMatches<ArrayLang>> {
-        search_per_class(self, egraph, limit)
-    }
-
-    fn can_search_per_class(&self) -> bool {
-        true
-    }
-
     fn search_class(&self, egraph: &AEGraph, class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
         let components = self.components(egraph);
-        if !self.config.exhaustive_tuples
-            && components.binary_search(&egraph.find(class)).is_err()
-        {
+        if !self.exhaustive && components.binary_search(&egraph.find(class)).is_err() {
             return vec![];
         }
         components
@@ -491,7 +431,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroTupleSearcher {
     }
 
     fn candidate_class_ids(&self, egraph: &AEGraph) -> Option<Vec<Id>> {
-        if self.config.exhaustive_tuples || !egraph.is_clean() {
+        if self.exhaustive {
             return None;
         }
         // The component list itself — sound because `search_class` is
@@ -542,7 +482,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroTupleApplier {
 
 /// The eight core rules of listing 2.
 pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
-    let config = *config;
+    let exhaustive = config.exhaustive;
     let (b, y) = (Var::new("b"), Var::new("y"));
     let index_vars = IndexBuildVars { f: Var::new("f"), i: Var::new("i"), n: Var::new("n") };
     // One memo for the two tuple intro rules: they scan the same universe.
@@ -555,7 +495,7 @@ pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
         ),
         Rewrite::new(
             "intro-lambda",
-            IntroLambdaSearcher { config, cands: AuxMemo::default(), y },
+            IntroLambdaSearcher { exhaustive, cands: AuxMemo::default(), y },
             IntroLambdaApplier { y },
         ),
         Rewrite::from_patterns("elim-index-build", "(get (build ?n ?f) ?i)", "(app ?f ?i)"),
@@ -570,13 +510,13 @@ pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
         Rewrite::from_patterns("elim-fst-tuple", "(fst (tuple ?a ?b))", "?a"),
         Rewrite::new(
             "intro-fst-tuple",
-            IntroTupleSearcher { config, components: Arc::clone(&components), b },
+            IntroTupleSearcher { exhaustive, components: Arc::clone(&components), b },
             IntroTupleApplier { first: true, b },
         ),
         Rewrite::from_patterns("elim-snd-tuple", "(snd (tuple ?a ?b))", "?b"),
         Rewrite::new(
             "intro-snd-tuple",
-            IntroTupleSearcher { config, components, b },
+            IntroTupleSearcher { exhaustive, components, b },
             IntroTupleApplier { first: false, b },
         ),
     ]
@@ -714,9 +654,8 @@ mod tests {
         // over it (pairing every class carrying an extent did).
         let mut eg = ArrayEGraph::default();
         let root = eg.add_expr(&liar_ir::dsl::madd(4, 8, e("A"), e("B")));
-        let config = RuleConfig::default();
-        let mut rules = core_rules(&config);
-        rules.extend(crate::rules::scalar_rules(&config));
+        let mut rules = core_rules(&RuleConfig::default());
+        rules.extend(crate::rules::scalar_rules());
         rules.extend(crate::rules::torch_rules());
         let mut runner =
             Runner::new(eg).with_iter_limit(6).with_scheduler(BackoffScheduler::default());
@@ -778,9 +717,8 @@ mod tests {
         // (lam 1))` indexed by the ifold's outer index, %1.
         let mut eg = ArrayEGraph::default();
         eg.add_expr(&liar_ir::dsl::vsum(8, e("xs")));
-        let config = RuleConfig::default();
-        let mut rules = core_rules(&config);
-        rules.extend(crate::rules::scalar_rules(&config));
+        let mut rules = core_rules(&RuleConfig::default());
+        rules.extend(crate::rules::scalar_rules());
         let mut runner = Runner::new(eg)
             .with_iter_limit(4)
             .with_scheduler(BackoffScheduler::default());

@@ -12,8 +12,6 @@ pub use core_rules::core_rules;
 pub use scalar::scalar_rules;
 pub use torch::torch_rules;
 
-pub use self::CandidateSet as IntroCandidates;
-
 use liar_ir::ArrayRewrite;
 
 /// The three rule-set targets evaluated in the paper (§VI, "targets").
@@ -51,69 +49,36 @@ impl std::fmt::Display for Target {
 /// variables (paper §IV.B.4).
 ///
 /// The paper instantiates such rules with *every* e-class; that semantics
-/// is available via [`RuleConfig::exhaustive`], while the default bounds
+/// is available via [`RuleConfig::exhaustive()`], while the default bounds
 /// the candidate sets to the classes that can actually participate in the
 /// idiom chains (see ARCHITECTURE.md, "Rules and cost models").
 ///
-/// One bound holds in every mode and has no field: `R-IntroIndexBuild`'s
-/// extent `N` ranges over the loop extents, the classes that occur as
-/// the extent of a `build` or `ifold` node, not over every class carrying
-/// an extent. A lift rule's product extent is only ever a call's element
-/// count, so the bound keeps those counts from multiplying the PyTorch
-/// graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleConfig {
-    /// Which classes `R-IntroLambda` wraps in `(λ e↑) y`. Under
-    /// [`CandidateSet::All`] its argument `y` is any class too; otherwise
-    /// `y` is the class of `%0` or `%1`, the index of the loop that
-    /// directly encloses the value.
-    pub intro_lambda: CandidateSet,
-    /// Instantiate the tuple intro rules over all classes rather than the
-    /// components already occurring under tuples.
-    ///
-    /// By default both the kept component (the matched class) and its
-    /// partner are such components, which closes the set under the rules'
-    /// own output: a tuple of two components adds no component, so the
-    /// set grows only when another rule builds a tuple or classes merge.
-    pub exhaustive_tuples: bool,
-    /// Enable the expression-inflating directions of the scalar identities
-    /// (`x → x+0`, `x → 1*x`, `x → x*1`).
-    pub scalar_intro: bool,
-}
-
-/// Candidate sets for `R-IntroLambda`'s matched class `e` (the expression
-/// being wrapped in `(λ e↑) y`).
+/// One bound holds in every mode: `R-IntroIndexBuild`'s extent `N` ranges
+/// over the loop extents, the classes that occur as the extent of a
+/// `build` or `ifold` node, not over every class carrying an extent. A
+/// lift rule's product extent is only ever a call's element count, so the
+/// bound keeps those counts from multiplying the PyTorch graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateSet {
-    /// Classes containing a float constant or a library call — the
-    /// §IV.C.2 / §V.A constant-array chains (`1 → (build n (λ 1))[i]`)
-    /// plus the zero-matrix rows that gemm recognition needs
-    /// (`memset(0) → (build n (λ memset(0)↑))[i]`, the paper's doitgen
-    /// solution). The fast default.
-    #[default]
-    ConstantsAndCalls,
-    /// Every e-class (the paper's §IV.B.4 semantics; explosive).
-    All,
-}
-
-impl Default for RuleConfig {
-    fn default() -> Self {
-        RuleConfig {
-            intro_lambda: CandidateSet::ConstantsAndCalls,
-            exhaustive_tuples: false,
-            scalar_intro: true,
-        }
-    }
+pub struct RuleConfig {
+    /// Instantiate the intro rules over every e-class (the paper's
+    /// §IV.B.4 semantics; explosive) instead of the bounded sets:
+    ///
+    /// * `R-IntroLambda` wraps every class `e` in `(λ e↑) y` with any class
+    ///   as `y`, where by default `e` holds a float constant or a library
+    ///   call and `y` is the class of `%0` or `%1`, the index of the loop
+    ///   that directly encloses the value;
+    /// * the tuple intro rules pair every class, where by default both the
+    ///   kept component (the matched class) and its partner already occur
+    ///   under a tuple. That closes the set under the rules' own output: a
+    ///   tuple of two components adds no component, so the set grows only
+    ///   when another rule builds a tuple or classes merge.
+    pub exhaustive: bool,
 }
 
 impl RuleConfig {
     /// The paper-faithful, unbounded instantiation strategy.
     pub fn exhaustive() -> Self {
-        RuleConfig {
-            intro_lambda: CandidateSet::All,
-            exhaustive_tuples: true,
-            scalar_intro: true,
-        }
+        RuleConfig { exhaustive: true }
     }
 
     /// A stable hash of this configuration — the "which rules were
@@ -127,14 +92,13 @@ impl RuleConfig {
     /// rulesets.
     pub fn fingerprint(&self) -> u64 {
         let mut h = liar_ir::StableHasher::new();
-        // Byte 1 stays unused: renumbering `All` would move its request
-        // fingerprints.
-        h.byte(match self.intro_lambda {
-            CandidateSet::ConstantsAndCalls => 0,
-            CandidateSet::All => 2,
-        });
-        h.byte(self.exhaustive_tuples as u8);
-        h.byte(self.scalar_intro as u8);
+        // The three bytes the configuration hashed when it had three
+        // switches (R-IntroLambda's candidate set, exhaustive tuples,
+        // scalar intro rules on), so request fingerprints and warm stores
+        // keep their keys.
+        h.byte(if self.exhaustive { 2 } else { 0 });
+        h.byte(self.exhaustive as u8);
+        h.byte(1);
         h.finish() as u64
     }
 }
@@ -156,7 +120,7 @@ pub fn rules_for(target: Target, config: &RuleConfig) -> Vec<ArrayRewrite> {
 /// does.
 pub fn rules_for_targets(targets: &[Target], config: &RuleConfig) -> Vec<ArrayRewrite> {
     let mut rules = core_rules(config);
-    rules.extend(scalar_rules(config));
+    rules.extend(scalar_rules());
     for &target in targets {
         let idioms = match target {
             Target::PureC => Vec::new(),
@@ -180,7 +144,7 @@ pub fn rules_for_targets(targets: &[Target], config: &RuleConfig) -> Vec<ArrayRe
 pub fn named_rulesets(config: &RuleConfig) -> Vec<(&'static str, Vec<ArrayRewrite>)> {
     vec![
         ("core", core_rules(config)),
-        ("scalar", scalar_rules(config)),
+        ("scalar", scalar_rules()),
         ("blas", blas_rules()),
         ("torch", torch_rules()),
     ]
@@ -197,7 +161,7 @@ mod tests {
         assert_eq!(core_rules(&config).len(), 8);
         // Listing 3: four identities, two directions each — minus the
         // self-inverse commutativity pair collapsing into one rule.
-        assert_eq!(scalar_rules(&config).len(), 7);
+        assert_eq!(scalar_rules().len(), 7);
     }
 
     #[test]
@@ -238,14 +202,5 @@ mod tests {
             .filter(|t| blas_rules().iter().all(|b| b.name() != t.name()))
             .count();
         assert_eq!(union.len(), blas + torch_only);
-    }
-
-    #[test]
-    fn scalar_intro_can_be_disabled() {
-        let config = RuleConfig {
-            scalar_intro: false,
-            ..RuleConfig::default()
-        };
-        assert_eq!(scalar_rules(&config).len(), 4);
     }
 }

@@ -12,13 +12,10 @@
 
 use std::sync::Arc;
 
-use liar_egraph::{
-    Applier, Binding, EGraph, Id, Pattern, Rewrite, SearchMatches, Searcher, Subst, Var,
-};
+use liar_egraph::{Applier, Binding, EGraph, Id, Pattern, Rewrite, Searcher, Subst, Var};
 use liar_ir::{ArrayAnalysis, ArrayLang, ArrayRewrite, LibFn};
 
 use super::core_rules::AuxMemo;
-use super::RuleConfig;
 
 type AEGraph = EGraph<ArrayLang, ArrayAnalysis>;
 
@@ -75,29 +72,8 @@ impl ScalarClassSearcher {
 }
 
 impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
-    fn search(&self, egraph: &AEGraph, limit: usize) -> Vec<SearchMatches<ArrayLang>> {
-        let mut out = Vec::new();
-        let mut total = 0;
-        for id in egraph.class_ids() {
-            if total >= limit {
-                break;
-            }
-            let substs = self.search_class(egraph, id, limit - total);
-            if substs.is_empty() {
-                continue;
-            }
-            total += substs.len();
-            out.push(SearchMatches::new(id, substs));
-        }
-        out
-    }
-
-    fn can_search_per_class(&self) -> bool {
-        true
-    }
-
-    fn search_class(&self, egraph: &AEGraph, class: Id, limit: usize) -> Vec<Subst<ArrayLang>> {
-        if limit == 0 || !scalar_like(egraph, class) {
+    fn search_class(&self, egraph: &AEGraph, class: Id, _limit: usize) -> Vec<Subst<ArrayLang>> {
+        if !scalar_like(egraph, class) {
             return vec![];
         }
         let mut s = Subst::default();
@@ -106,9 +82,6 @@ impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
     }
 
     fn candidate_class_ids(&self, egraph: &AEGraph) -> Option<Vec<Id>> {
-        if !egraph.is_clean() {
-            return None;
-        }
         Some(self.candidates(egraph).to_vec())
     }
 
@@ -189,22 +162,19 @@ fn intro(name: &str, shape: IntroShape, rhs: &str, cands: Arc<AuxMemo>) -> Array
 
 /// The scalar rules of listing 3 (E-ADDZERO, E-MULONEL, E-MULONER,
 /// E-COMMUTEMUL as directional rewrites).
-pub fn scalar_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
-    let mut rules = vec![
+pub fn scalar_rules() -> Vec<ArrayRewrite> {
+    // One memo for the three intro rules: they scan the same universe.
+    let cands = Arc::new(AuxMemo::default());
+    let rule = |name, shape, rhs| intro(name, shape, rhs, Arc::clone(&cands));
+    vec![
         Rewrite::from_patterns("add-zero", "(+ ?x 0)", "?x"),
         Rewrite::from_patterns("mul-one-l", "(* 1 ?x)", "?x"),
         Rewrite::from_patterns("mul-one-r", "(* ?x 1)", "?x"),
         Rewrite::from_patterns("commute-mul", "(* ?x ?y)", "(* ?y ?x)"),
-    ];
-    if config.scalar_intro {
-        // One memo for the three rules: they scan the same universe.
-        let cands = Arc::new(AuxMemo::default());
-        let rule = |name, shape, rhs| intro(name, shape, rhs, Arc::clone(&cands));
-        rules.push(rule("intro-add-zero", IntroShape::AddZero, "(+ ?x 0)"));
-        rules.push(rule("intro-mul-one-l", IntroShape::MulOneL, "(* 1 ?x)"));
-        rules.push(rule("intro-mul-one-r", IntroShape::MulOneR, "(* ?x 1)"));
-    }
-    rules
+        rule("intro-add-zero", IntroShape::AddZero, "(+ ?x 0)"),
+        rule("intro-mul-one-l", IntroShape::MulOneL, "(* 1 ?x)"),
+        rule("intro-mul-one-r", IntroShape::MulOneR, "(* ?x 1)"),
+    ]
 }
 
 #[cfg(test)]
@@ -222,7 +192,7 @@ mod tests {
         let mut eg = ArrayEGraph::default();
         let root = eg.add_expr(&e("(+ (get xs i) 0)"));
         let mut runner = Runner::new(eg).with_iter_limit(3);
-        runner.run(&scalar_rules(&RuleConfig::default()));
+        runner.run(&scalar_rules());
         assert_eq!(
             runner.egraph.lookup_expr(&e("(get xs i)")),
             Some(runner.egraph.find(root))
@@ -234,7 +204,7 @@ mod tests {
         let mut eg = ArrayEGraph::default();
         let root = eg.add_expr(&e("(* 1 (* (get xs i) 1))"));
         let mut runner = Runner::new(eg).with_iter_limit(3);
-        runner.run(&scalar_rules(&RuleConfig::default()));
+        runner.run(&scalar_rules());
         assert_eq!(
             runner.egraph.lookup_expr(&e("(get xs i)")),
             Some(runner.egraph.find(root))
@@ -247,7 +217,7 @@ mod tests {
         let mut eg = ArrayEGraph::default();
         let root = eg.add_expr(&e("(get xs %1)"));
         let mut runner = Runner::new(eg).with_iter_limit(2);
-        runner.run(&scalar_rules(&RuleConfig::default()));
+        runner.run(&scalar_rules());
         assert_eq!(
             runner.egraph.lookup_expr(&e("(* (get xs %1) 1)")),
             Some(runner.egraph.find(root))
@@ -264,7 +234,7 @@ mod tests {
         let lam = eg.add_expr(&e("(lam %0)"));
         let dim = eg.add_expr(&e("#8"));
         let mut runner = Runner::new(eg).with_iter_limit(2);
-        runner.run(&scalar_rules(&RuleConfig::default()));
+        runner.run(&scalar_rules());
         // λ and extent classes must not grow scalar wrappers.
         for id in [lam, dim] {
             let class = &runner.egraph[id];
@@ -280,10 +250,11 @@ mod tests {
         let mut eg = ArrayEGraph::default();
         let root = eg.add_expr(&e("(* (get a i) (get b i))"));
         let mut runner = Runner::new(eg).with_iter_limit(4);
-        runner.run(&scalar_rules(&RuleConfig {
-            scalar_intro: false,
-            ..RuleConfig::default()
-        }));
+        let rules: Vec<_> = scalar_rules()
+            .into_iter()
+            .filter(|r| !r.name().starts_with("intro-"))
+            .collect();
+        runner.run(&rules);
         assert_eq!(
             runner.egraph.lookup_expr(&e("(* (get b i) (get a i))")),
             Some(runner.egraph.find(root))

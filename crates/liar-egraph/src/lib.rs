@@ -23,9 +23,10 @@
 //!   ([`EGraph::classes_with_op`]) so a rule only visits classes whose
 //!   members can match its root operator.
 //! * [`Rewrite`], [`Runner`], [`BackoffScheduler`] — saturation proper:
-//!   every step searches each rule, in rule order, over its candidate
-//!   classes with the compiled VM, with per-iteration reports of e-node
-//!   counts and timings (the raw data behind the paper's fig. 4).
+//!   every step searches each rule, in rule order, with [`Rewrite::search`]
+//!   (the one search loop, which asks the rule's [`Searcher`] about its
+//!   candidate classes one at a time), with per-iteration reports of
+//!   e-node counts and timings (the raw data behind the paper's fig. 4).
 //! * [`Extract`], [`Extractor`], [`DagExtractor`] and [`CostFunction`] —
 //!   cost-based term extraction (the paper's §V-C extractors are cost
 //!   functions over this engine), with both tree-cost and DAG-cost

@@ -383,10 +383,12 @@ impl<L: Language> Compiler<'_, L> {
 /// the differential tests and the e-matching bench compare the VM against.
 ///
 /// Never uses the operator index ([`candidate_class_ids`] returns `None`),
-/// so it scans every e-class the way the pre-VM engine did.
+/// so [`Rewrite::search`] asks it about every e-class, the way the pre-VM
+/// engine scanned.
 ///
 /// [`Searcher`]: crate::Searcher
 /// [`candidate_class_ids`]: crate::Searcher::candidate_class_ids
+/// [`Rewrite::search`]: crate::Rewrite::search
 #[derive(Debug, Clone)]
 pub struct OraclePattern<L>(Pattern<L>);
 
@@ -403,34 +405,8 @@ impl<L: Language> OraclePattern<L> {
 }
 
 impl<L: Language, A: Analysis<L>> crate::Searcher<L, A> for OraclePattern<L> {
-    fn search(&self, egraph: &EGraph<L, A>, limit: usize) -> Vec<crate::SearchMatches<L>> {
-        let mut matches = Vec::new();
-        let mut total = 0;
-        for id in egraph.class_ids() {
-            if total >= limit {
-                break;
-            }
-            let mut substs = self.0.match_class_oracle(egraph, id);
-            if substs.is_empty() {
-                continue;
-            }
-            if total + substs.len() > limit {
-                substs.truncate(limit - total);
-            }
-            total += substs.len();
-            matches.push(crate::SearchMatches::new(id, substs));
-        }
-        matches
-    }
-
-    fn can_search_per_class(&self) -> bool {
-        true
-    }
-
-    fn search_class(&self, egraph: &EGraph<L, A>, class: Id, limit: usize) -> Vec<Subst<L>> {
-        let mut substs = self.0.match_class_oracle(egraph, class);
-        substs.truncate(limit);
-        substs
+    fn search_class(&self, egraph: &EGraph<L, A>, class: Id, _limit: usize) -> Vec<Subst<L>> {
+        self.0.match_class_oracle(egraph, class)
     }
 
     fn bound_vars(&self) -> Vec<Var> {

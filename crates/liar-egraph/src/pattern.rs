@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::language::parse_sexp;
 use crate::machine::Program;
-use crate::rewrite::{Applier, SearchMatches, Searcher};
+use crate::rewrite::{Applier, Searcher};
 use crate::{Analysis, EGraph, Id, Language, RecExpr};
 
 /// Global interning table mapping pattern-variable names to dense ids.
@@ -406,46 +406,11 @@ impl<L: Language> Pattern<L> {
 }
 
 impl<L: Language, A: Analysis<L>> Searcher<L, A> for Pattern<L> {
-    fn search(&self, egraph: &EGraph<L, A>, limit: usize) -> Vec<SearchMatches<L>> {
-        let ids = match <Self as Searcher<L, A>>::candidate_class_ids(self, egraph) {
-            Some(ids) => ids,
-            None => egraph.class_ids(),
-        };
-        let mut matches = Vec::new();
-        let mut total = 0;
-        for id in ids {
-            if total >= limit {
-                break;
-            }
-            let mut substs = self.match_class(egraph, id);
-            if substs.is_empty() {
-                continue;
-            }
-            if total + substs.len() > limit {
-                substs.truncate(limit - total);
-            }
-            total += substs.len();
-            matches.push(SearchMatches::new(id, substs));
-        }
-        matches
-    }
-
-    fn can_search_per_class(&self) -> bool {
-        true
-    }
-
-    fn search_class(&self, egraph: &EGraph<L, A>, class: Id, limit: usize) -> Vec<Subst<L>> {
-        let mut substs = self.match_class(egraph, class);
-        substs.truncate(limit);
-        substs
+    fn search_class(&self, egraph: &EGraph<L, A>, class: Id, _limit: usize) -> Vec<Subst<L>> {
+        self.match_class(egraph, class)
     }
 
     fn candidate_class_ids(&self, egraph: &EGraph<L, A>) -> Option<Vec<Id>> {
-        if !egraph.is_clean() {
-            // The operator index may hold stale ids while unions are
-            // pending; fall back to scanning everything.
-            return None;
-        }
         self.program
             .root_op_key()
             .map(|key| egraph.classes_with_op(key).to_vec())
@@ -704,8 +669,9 @@ mod tests {
             let leaf = eg.add(SymbolLang::leaf(name));
             eg.add(SymbolLang::new("f", vec![leaf]));
         }
-        let p: Pattern<SymbolLang> = "(f ?x)".parse().unwrap();
-        let matches = <Pattern<_> as Searcher<_, ()>>::search(&p, &eg, 2);
+        let rw = crate::Rewrite::<SymbolLang, ()>::from_patterns("wrap", "(f ?x)", "(g ?x)");
+        let (candidates, matches) = rw.search(&eg, 2);
+        assert_eq!(candidates, 4, "the four f classes");
         let total: usize = matches.iter().map(|m| m.len()).sum();
         assert_eq!(total, 2);
     }

@@ -33,50 +33,31 @@ impl<L> SearchMatches<L> {
     pub fn is_empty(&self) -> bool {
         self.substs.is_empty()
     }
-
-    /// Keep only the first `n` substitutions.
-    pub fn truncate(&mut self, n: usize) {
-        self.substs.truncate(n);
-    }
 }
 
-/// The left-hand side of a rewrite: finds matches in an e-graph.
+/// The left-hand side of a rewrite: finds matches in an e-graph, one
+/// e-class at a time.
 ///
-/// `limit` bounds the total number of substitutions returned; searchers
-/// must stay read-only so that a whole batch of rules can be searched
-/// against one consistent e-graph snapshot.
+/// A searcher only answers for single classes; [`Rewrite::search`] is the
+/// one loop that walks a rule's candidate classes. Searchers must stay
+/// read-only so that a whole batch of rules can be searched against one
+/// consistent e-graph snapshot, and they are only ever asked about a clean
+/// e-graph (no union awaits a [`rebuild`](EGraph::rebuild)).
 pub trait Searcher<L: Language, A: Analysis<L>> {
-    /// Search the whole e-graph, returning at most `limit` substitutions.
-    fn search(&self, egraph: &EGraph<L, A>, limit: usize) -> Vec<SearchMatches<L>>;
-
-    /// True when [`search_class`](Searcher::search_class) is supported, in
-    /// which case [`search`](Searcher::search) must be equivalent to
-    /// concatenating `search_class` over [`EGraph::class_ids`] (ascending)
-    /// with the limit applied across classes in that order. The runner then
-    /// matches only the rule's
-    /// [candidate classes](Searcher::candidate_class_ids), one at a time.
-    fn can_search_per_class(&self) -> bool {
-        false
-    }
-
-    /// Search a single e-class, returning at most `limit` substitutions.
-    ///
-    /// Only called when [`can_search_per_class`](Searcher::can_search_per_class)
-    /// returns true; the default panics.
-    fn search_class(&self, egraph: &EGraph<L, A>, class: Id, limit: usize) -> Vec<Subst<L>> {
-        let _ = (egraph, class, limit);
-        unimplemented!("searcher does not support per-class search")
-    }
+    /// Search a single e-class. `limit` is what is left of the rule's match
+    /// budget: a searcher may stop once it has that many substitutions, and
+    /// [`Rewrite::search`] clips any excess.
+    fn search_class(&self, egraph: &EGraph<L, A>, class: Id, limit: usize) -> Vec<Subst<L>>;
 
     /// The e-classes this searcher could possibly match, **sorted
     /// ascending**, or `None` when every class must be visited (the
     /// default).
     ///
     /// Compiled patterns answer from the e-graph's
-    /// [operator index](EGraph::classes_with_op); the saturation engine
-    /// then only dispatches [`search_class`](Searcher::search_class) over
-    /// this list. Implementations must be *sound over-approximations*: a
-    /// class not listed must produce zero matches, so that skipping it is
+    /// [operator index](EGraph::classes_with_op); [`Rewrite::search`] then
+    /// only asks [`search_class`](Searcher::search_class) about this list.
+    /// Implementations must be *sound over-approximations*: a class not
+    /// listed must produce zero matches, so that skipping it is
     /// observationally identical to searching it.
     fn candidate_class_ids(&self, egraph: &EGraph<L, A>) -> Option<Vec<Id>> {
         let _ = egraph;
@@ -197,31 +178,43 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Rewrite<L, A> {
         &self.name
     }
 
-    /// Search for matches, bounded by `limit` substitutions.
-    pub fn search(&self, egraph: &EGraph<L, A>, limit: usize) -> Vec<SearchMatches<L>> {
-        self.searcher.search(egraph, limit)
-    }
-
-    /// True when this rule's searcher supports per-class search (see
-    /// [`Searcher::can_search_per_class`]).
-    pub fn can_search_per_class(&self) -> bool {
-        self.searcher.can_search_per_class()
-    }
-
-    /// Search a single e-class (see [`Searcher::search_class`]).
-    pub fn search_class(
-        &self,
-        egraph: &EGraph<L, A>,
-        class: Id,
-        limit: usize,
-    ) -> Vec<Subst<L>> {
-        self.searcher.search_class(egraph, class, limit)
-    }
-
-    /// Candidate classes for this rule's searcher (see
-    /// [`Searcher::candidate_class_ids`]).
-    pub fn candidate_class_ids(&self, egraph: &EGraph<L, A>) -> Option<Vec<Id>> {
-        self.searcher.candidate_class_ids(egraph)
+    /// Search for matches: the one search loop. Returns the number of
+    /// candidate classes and the matches, which stop at exactly `limit`
+    /// substitutions.
+    ///
+    /// The searcher's [candidate classes](Searcher::candidate_class_ids)
+    /// (every class when it names none) are asked in ascending id order,
+    /// each for at most what is left of the budget. Skipping a
+    /// non-candidate class is sound because the list over-approximates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a union awaits a [`rebuild`](EGraph::rebuild): stale ids
+    /// in the operator index would silently hide matches.
+    pub fn search(&self, egraph: &EGraph<L, A>, limit: usize) -> (usize, Vec<SearchMatches<L>>) {
+        assert!(
+            egraph.is_clean(),
+            "rule {}: searching an e-graph whose unions await a rebuild",
+            self.name
+        );
+        let ids = self
+            .searcher
+            .candidate_class_ids(egraph)
+            .unwrap_or_else(|| egraph.class_ids());
+        let mut found = 0;
+        let mut out = Vec::new();
+        for &id in &ids {
+            if found >= limit {
+                break;
+            }
+            let mut substs = self.searcher.search_class(egraph, id, limit - found);
+            substs.truncate(limit - found);
+            if !substs.is_empty() {
+                found += substs.len();
+                out.push(SearchMatches::new(id, substs));
+            }
+        }
+        (ids.len(), out)
     }
 
     /// This rule's left-hand side as a [`Pattern`], when the searcher is
@@ -311,7 +304,7 @@ mod tests {
         let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
         let id = eg.add_expr(&"(+ a b)".parse().unwrap());
         let rw = Rewrite::from_patterns("comm-add", "(+ ?x ?y)", "(+ ?y ?x)");
-        let matches = rw.search(&eg, usize::MAX);
+        let (_, matches) = rw.search(&eg, usize::MAX);
         assert_eq!(matches.iter().map(|m| m.len()).sum::<usize>(), 1);
         let changed = rw.apply(&mut eg, &matches);
         assert_eq!(changed, 1);
@@ -319,9 +312,20 @@ mod tests {
         let flipped = eg.lookup_expr(&"(+ b a)".parse().unwrap());
         assert_eq!(flipped, Some(eg.find(id)));
         // Re-applying discovers the already-known union: no change.
-        let matches = rw.search(&eg, usize::MAX);
+        let (_, matches) = rw.search(&eg, usize::MAX);
         let changed = rw.apply(&mut eg, &matches);
         assert_eq!(changed, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "await a rebuild")]
+    fn searching_with_a_pending_union_panics() {
+        let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+        let a = eg.add_expr(&"(+ a b)".parse().unwrap());
+        let b = eg.add_expr(&"(+ b a)".parse().unwrap());
+        eg.union(a, b);
+        let rw = Rewrite::from_patterns("comm-add", "(+ ?x ?y)", "(+ ?y ?x)");
+        let _ = rw.search(&eg, usize::MAX);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! per-iteration reports.
 //!
 //! The search phase is read-only over a clean e-graph: every unbanned rule
-//! is searched in rule order, each inside its own `search/<rule>` span, over
-//! its operator-index candidate classes in ascending id order, and stops at
-//! exactly its scheduler match budget.
+//! is searched in rule order by [`Rewrite::search`], each inside its own
+//! `search/<rule>` span, over its candidate classes in ascending id order,
+//! and stops at exactly its scheduler match budget.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,7 +46,7 @@ impl std::fmt::Display for StopReason {
 pub struct RunnerLimits {
     /// Maximum number of saturation steps.
     pub iter_limit: usize,
-    /// Maximum number of e-nodes before stopping.
+    /// Maximum number of e-nodes before stopping, checked between steps.
     pub node_limit: usize,
     /// Optional wall-clock budget.
     pub time_limit: Option<Duration>,
@@ -92,9 +92,9 @@ pub struct Iteration {
     /// Unions performed by congruence repair during rebuild.
     pub rebuild_unions: usize,
     /// Candidate e-classes scheduled for matching across all unbanned
-    /// rules: per-class searchers count their operator-index candidate
-    /// list (see [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)),
-    /// whole-e-graph searchers count every class.
+    /// rules: each rule counts its searcher's candidate list (see
+    /// [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)),
+    /// or every class when the searcher names none.
     pub search_candidates: usize,
     /// Always equal to [`search_candidates`](Iteration::search_candidates):
     /// every scheduled candidate class is scanned. Kept for the benchmark
@@ -147,6 +147,15 @@ pub struct Runner<L: Language, A: Analysis<L>> {
 
 impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
     /// Wrap an e-graph in a runner with default limits and no scheduling.
+    ///
+    /// The default [`SimpleScheduler`] sets no per-step match budget, so
+    /// one step applies every match of every rule, and the node limit
+    /// (checked only between steps, see
+    /// [`with_node_limit`](Runner::with_node_limit)) cannot cut a step
+    /// short. Rules whose matches grow fast need a budget:
+    /// [`with_scheduler`](Runner::with_scheduler) with a
+    /// [`BackoffScheduler`](crate::BackoffScheduler), as the LIAR pipeline
+    /// uses.
     pub fn new(egraph: EGraph<L, A>) -> Self {
         Runner {
             egraph,
@@ -173,7 +182,9 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         self
     }
 
-    /// Set the e-node limit.
+    /// Set the e-node limit. It is checked only between steps, before a
+    /// step starts: a step that begins under the limit runs to the end
+    /// however much it adds.
     pub fn with_node_limit(mut self, limit: usize) -> Self {
         self.limits.node_limit = limit;
         self
@@ -281,7 +292,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
         // hands out every rule's match budget up front, then each unbanned
         // rule is searched in rule order and the scheduler observes its
         // match count.
-        debug_assert!(self.egraph.is_clean(), "searching a dirty e-graph");
         let limits: Vec<Option<usize>> = rules
             .iter()
             .enumerate()
@@ -309,7 +319,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
                 }
             }
         }
-        let class_ids = self.egraph.class_ids();
         let mut all_matches = Vec::with_capacity(rules.len());
         let mut searched = Vec::with_capacity(rules.len());
         for (i, (rule, limit)) in rules.iter().zip(&limits).enumerate() {
@@ -321,7 +330,7 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
             let span = self
                 .trace
                 .begin_args(format_args!("search/{}", rule.name()));
-            let (n_candidates, matches) = search_rule(&self.egraph, rule, limit, &class_ids);
+            let (n_candidates, matches) = rule.search(&self.egraph, limit);
             let n_matches: usize = matches.iter().map(SearchMatches::len).sum();
             self.trace.end_with(span, &[("matches", n_matches as f64)]);
             self.scheduler.record(iteration_idx, i, n_matches);
@@ -423,51 +432,6 @@ impl<L: Language + 'static, A: Analysis<L> + 'static> Runner<L, A> {
     }
 }
 
-/// Search one unbanned rule, returning the number of candidate classes it
-/// was scheduled over and its matches, which stop at exactly `limit`
-/// substitutions.
-///
-/// A per-class rule matches its candidate list in ascending class order:
-/// the operator-index classes when the searcher has them, every class
-/// otherwise. Skipping a non-candidate class is sound because
-/// [`Searcher::candidate_class_ids`](crate::Searcher::candidate_class_ids)
-/// over-approximates. A whole-graph (custom) searcher runs once over every
-/// class, and the match set that crosses the budget is clipped.
-fn search_rule<L: Language + 'static, A: Analysis<L> + 'static>(
-    egraph: &EGraph<L, A>,
-    rule: &Rewrite<L, A>,
-    limit: usize,
-    class_ids: &[Id],
-) -> (usize, Vec<SearchMatches<L>>) {
-    let mut found = 0;
-    let mut out = Vec::new();
-    if !rule.can_search_per_class() {
-        for mut m in rule.search(egraph, limit) {
-            if found >= limit {
-                break;
-            }
-            m.truncate(limit - found);
-            found += m.len();
-            out.push(m);
-        }
-        return (class_ids.len(), out);
-    }
-    let own_ids = rule.candidate_class_ids(egraph);
-    let ids = own_ids.as_deref().unwrap_or(class_ids);
-    for &id in ids {
-        if found >= limit {
-            break;
-        }
-        let mut substs = rule.search_class(egraph, id, limit - found);
-        substs.truncate(limit - found);
-        if !substs.is_empty() {
-            found += substs.len();
-            out.push(SearchMatches::new(id, substs));
-        }
-    }
-    (ids.len(), out)
-}
-
 impl<L: Language, A: Analysis<L>> std::fmt::Debug for Runner<L, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runner")
@@ -561,21 +525,23 @@ mod tests {
 
     #[test]
     fn match_budget_clips_every_rule_exactly() {
-        use crate::{BackoffScheduler, Pattern, Searcher, Var};
+        use crate::{BackoffScheduler, Pattern, Searcher, Subst, Var};
 
-        // A whole-graph searcher that ignores its limit: the runner clips
-        // its matches to the budget.
+        // A searcher that names no candidates and returns every match
+        // twice, ignoring its limit: the search loop clips it to the budget.
         struct Unbounded(Pattern<SymbolLang>);
         impl Searcher<SymbolLang, ()> for Unbounded {
-            fn search(
+            fn search_class(
                 &self,
                 egraph: &EGraph<SymbolLang, ()>,
+                class: Id,
                 _: usize,
-            ) -> Vec<SearchMatches<SymbolLang>> {
-                Searcher::<SymbolLang, ()>::search(&self.0, egraph, usize::MAX)
+            ) -> Vec<Subst<SymbolLang>> {
+                let substs = self.0.match_class(egraph, class);
+                substs.iter().chain(&substs).cloned().collect()
             }
             fn bound_vars(&self) -> Vec<Var> {
-                Searcher::<SymbolLang, ()>::bound_vars(&self.0)
+                self.0.vars()
             }
         }
         let lhs: Pattern<SymbolLang> = "(+ ?x ?y)".parse().unwrap();
@@ -589,6 +555,11 @@ mod tests {
             eg.add(SymbolLang::new("+", vec![leaf, z]));
         }
         let n_classes = eg.num_classes();
+        // An odd budget cuts the second class's pair of matches in half.
+        let (candidates, matches) = whole.search(&eg, 3);
+        assert_eq!(candidates, n_classes);
+        let lens: Vec<usize> = matches.iter().map(SearchMatches::len).collect();
+        assert_eq!(lens, [2, 1]);
         let mut runner = Runner::new(eg)
             .with_iter_limit(1)
             .with_scheduler(BackoffScheduler::new(4, 1));

@@ -15,7 +15,7 @@ use liar_egraph::{EGraph, RecExpr, Rewrite, Runner, SymbolLang};
 type EG = EGraph<SymbolLang, ()>;
 
 /// Random terms over the f/g/a/b/c signature (shared shape with
-/// `prop_machine.rs`).
+/// `prop_egraph.rs`).
 fn arb_term(depth: u32) -> BoxedStrategy<RecExpr<SymbolLang>> {
     let leaf = prop_oneof![
         Just("a".to_string()),

@@ -139,8 +139,8 @@ proptest! {
         }
         // Behavioral identity: every pattern sees the same match stream.
         for rule in rule_pool() {
-            let orig = rule.search(&eg, usize::MAX);
-            let back = rule.search(&restored, usize::MAX);
+            let (_, orig) = rule.search(&eg, usize::MAX);
+            let (_, back) = rule.search(&restored, usize::MAX);
             prop_assert_eq!(
                 format!("{orig:?}"),
                 format!("{back:?}"),

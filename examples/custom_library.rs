@@ -37,9 +37,8 @@ fn main() {
     ];
 
     // Saturate with the core + scalar rules plus the custom idioms.
-    let config = RuleConfig::default();
-    let mut rules = core_rules(&config);
-    rules.extend(scalar_rules(&config));
+    let mut rules = core_rules(&RuleConfig::default());
+    rules.extend(scalar_rules());
     rules.extend(idioms);
 
     let mut egraph = ArrayEGraph::default();

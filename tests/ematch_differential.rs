@@ -299,14 +299,18 @@ fn random_pattern(rng: &mut SplitMix64, depth: usize) -> String {
 }
 
 /// Randomized differential: random e-graphs (terms + unions), random
-/// (frequently non-linear) patterns, VM ≡ oracle on every class. A seeded
-/// in-test generator keeps this deterministic and dependency-free; the
-/// proptest-gated variant in `liar-egraph/tests/prop_machine.rs` explores
-/// further with shrinking when the `proptest` feature is enabled.
+/// (frequently non-linear) patterns. On every class the VM ≡ the oracle,
+/// and every VM substitution binds canonical class ids with no two alike.
+/// Over the whole graph, a pattern rule's `Rewrite::search` (operator-index
+/// candidates, none for a variable root) returns the same `(class,
+/// substs)` list as its `with_oracle_searcher()` copy (every class). A
+/// seeded in-test generator keeps this deterministic and
+/// dependency-free.
 #[test]
 fn randomized_symbol_lang_differential() {
     let mut rng = SplitMix64::new(0xC60_2024);
     let mut total_matches = 0usize;
+    let mut variable_roots = 0usize;
     for round in 0..60 {
         let mut eg: liar::egraph::EGraph<SymbolLang, ()> = Default::default();
         let mut roots = Vec::new();
@@ -322,18 +326,40 @@ fn randomized_symbol_lang_differential() {
         }
         eg.rebuild();
         eg.assert_invariants();
+        let find = |id| eg.find(id);
         for _ in 0..6 {
             let p: Pattern<SymbolLang> = random_pattern(&mut rng, 3).parse().unwrap();
             for class in eg.class_ids() {
                 let vm = p.match_class(&eg, class);
                 let oracle = p.match_class_oracle(&eg, class);
                 total_matches += vm.len();
-                assert_same_substs(
-                    &eg,
-                    &vm,
-                    &oracle,
-                    &format!("round {round}, pattern {p}, class {class}"),
-                );
+                let context = format!("round {round}, pattern {p}, class {class}");
+                assert_same_substs(&eg, &vm, &oracle, &context);
+                for (i, s) in vm.iter().enumerate() {
+                    for (v, b) in s.iter() {
+                        let Binding::Class(id) = b else {
+                            panic!("{context}: {v} bound to a term");
+                        };
+                        assert_eq!(eg.find(*id), *id, "{context}: {v} not canonical");
+                    }
+                    assert!(
+                        vm[i + 1..].iter().all(|o| !s.same_as(o, &find)),
+                        "{context}: substitution {i} repeats"
+                    );
+                }
+            }
+
+            variable_roots += p.compiled().root_op_key().is_none() as usize;
+            let rule = Rewrite::new("random", p.clone(), p.clone());
+            let (candidates, indexed) = rule.search(&eg, usize::MAX);
+            let (all, scanned) = rule.with_oracle_searcher().search(&eg, usize::MAX);
+            assert_eq!(all, eg.num_classes(), "the oracle names no candidates");
+            assert!(candidates <= all, "round {round}, pattern {p}");
+            assert_eq!(indexed.len(), scanned.len(), "round {round}, pattern {p}");
+            for (a, b) in indexed.iter().zip(&scanned) {
+                assert_eq!(a.class, b.class, "round {round}, pattern {p}");
+                let context = format!("round {round}, pattern {p}, search at {}", a.class);
+                assert_same_substs(&eg, a.substs(), b.substs(), &context);
             }
         }
     }
@@ -341,4 +367,5 @@ fn randomized_symbol_lang_differential() {
         total_matches > 100,
         "differential exercised too few matches ({total_matches})"
     );
+    assert!(variable_roots > 0, "no variable-root pattern was drawn");
 }

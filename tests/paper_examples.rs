@@ -120,7 +120,7 @@ fn scalar_rules_respect_side_condition() {
     let mut eg = ArrayEGraph::default();
     let root = eg.add_expr(&program);
     let mut runner = Runner::new(eg).with_iter_limit(5);
-    runner.run(&scalar_rules(&RuleConfig::default()));
+    runner.run(&scalar_rules());
     // The root is an array-valued build: it must not acquire + or * nodes.
     let class = &runner.egraph[root];
     assert!(class
