@@ -7,9 +7,9 @@
 //! - the **per-rule funnel** — candidates scheduled → substitutions
 //!   found → applications that changed the graph → e-nodes created and
 //!   e-classes merged, summed from the runner's per-step
-//!   [`Iteration`](liar_egraph::Iteration) columns (`searched`,
-//!   `applied`, `grown`), plus three builtin rows for growth outside any
-//!   rule: `(init)`, `(congruence)` and `(direct)`;
+//!   [`Iteration::rules`](liar_egraph::Iteration::rules) records, plus
+//!   three builtin rows for growth outside any rule: `(init)`,
+//!   `(congruence)` and `(direct)`;
 //! - the **composition by operator** — for every operator spelling in
 //!   the final graph, how many e-nodes carry it and how many e-classes
 //!   contain at least one such node.
@@ -91,20 +91,18 @@ impl InspectReport {
         let mut rows: BTreeMap<String, RuleRow> = BTreeMap::new();
         let (mut rule_nodes, mut rule_merges, mut congruence) = (0, 0, 0);
         for iter in &runner.iterations {
-            for (i, (name, applied)) in iter.applied.iter().enumerate() {
-                let (candidates, matches) = iter.searched.get(i).copied().unwrap_or((0, 0));
-                let (nodes, merges) = iter.grown.get(i).copied().unwrap_or((0, 0));
-                let row = rows.entry(name.clone()).or_insert_with(|| RuleRow {
-                    name: name.clone(),
+            for r in &iter.rules {
+                let row = rows.entry(r.name.clone()).or_insert_with(|| RuleRow {
+                    name: r.name.clone(),
                     ..RuleRow::default()
                 });
-                row.candidates += candidates as u64;
-                row.matches += matches as u64;
-                row.applied += *applied as u64;
-                row.nodes_created += nodes as u64;
-                row.classes_merged += merges as u64;
-                rule_nodes += nodes;
-                rule_merges += merges;
+                row.candidates += r.candidates as u64;
+                row.matches += r.matches as u64;
+                row.applied += r.applied as u64;
+                row.nodes_created += r.nodes_created as u64;
+                row.classes_merged += r.classes_merged as u64;
+                rule_nodes += r.nodes_created;
+                rule_merges += r.classes_merged;
             }
             congruence += iter.rebuild_unions;
         }

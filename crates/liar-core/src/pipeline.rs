@@ -505,10 +505,13 @@ impl Liar {
 
     /// Attach a trace recorder ([`liar_trace::Recorder`]): every pipeline
     /// call emits hierarchical spans (`saturate`, `extract/<target>`,
-    /// `snapshot/save`, `explain/<target>`, …) on one `pipeline` lane,
-    /// with the per-step spans of the underlying [`Runner`] nested under
-    /// `saturate` (see [`liar_egraph::Runner::with_trace`] for those;
-    /// `docs/OBSERVABILITY.md` for the full catalogue).
+    /// `snapshot/save`, `explain/<target>`, …) on one `pipeline` lane.
+    /// Under `saturate` sit the saturation steps: `step` spans with their
+    /// `search`, `apply` and `rebuild` phases and per-rule `search/<rule>`
+    /// and `apply/<rule>` spans, `ban/<rule>` markers and `egraph/*`
+    /// growth counters, all derived from the runner's per-step
+    /// [`Iteration`] records (`docs/OBSERVABILITY.md` has the full
+    /// catalogue).
     ///
     /// Tracing is strictly observational: reports, solutions and proofs
     /// are bit-identical with it on or off, so the recorder is
@@ -538,9 +541,10 @@ impl Liar {
     }
 
     /// Attach a flight recorder ([`liar_trace::FlightRecorder`]): the
-    /// pipeline and its runners record notable events into the bounded
-    /// ring — rules firing and being banned, budget truncations, cache
-    /// hits and misses, snapshot restores. Like the trace recorder, the
+    /// pipeline records notable events into the bounded ring — cache hits
+    /// and misses, snapshot restores, and, derived from each saturation
+    /// step's [`Iteration`] record, rules firing, being banned and having
+    /// their match budget truncate them. Like the trace recorder, the
     /// flight recorder is observational and **excluded** from
     /// [`Liar::request_fingerprint`].
     pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
@@ -598,9 +602,10 @@ impl Liar {
     /// to a stop, calling `hook` with the e-graph, its root and the step's
     /// [`Iteration`] before the first step (step 0: the initial e-node and
     /// e-class counts, all else zero) and after every step. Hooks read the
-    /// counts from the record rather than walking the e-graph again. The
-    /// runner records on `sink` until the loop stops, so its spans and the
-    /// hook's nest under `saturate` on the call's lane.
+    /// counts from the record rather than walking the e-graph again. Each
+    /// step's events are derived from its record ([`Liar::record_step`])
+    /// before the hook runs, so they and the hook's spans nest under
+    /// `saturate` on the call's lane.
     fn saturate(
         &self,
         expr: &Expr,
@@ -621,19 +626,16 @@ impl Liar {
         let mut runner = Runner::new(egraph)
             .with_root(root)
             .with_limits(self.limits.clone())
-            .with_scheduler(self.scheduler())
-            .with_trace(std::mem::replace(sink, TraceSink::off()));
-        if let Some(flight) = &self.flight {
-            runner = runner.with_flight(Arc::clone(flight));
-        }
-        let span = runner.trace.begin("saturate");
-        hook(&runner.egraph, root, &step0, &mut runner.trace);
+            .with_scheduler(self.scheduler());
+        let span = sink.begin("saturate");
+        hook(&runner.egraph, root, &step0, sink);
         let stop_reason = loop {
             if let Err(reason) = runner.run_one(rules) {
                 break reason;
             }
             let iteration = runner.iterations.last().expect("a step just ran");
-            hook(&runner.egraph, root, iteration, &mut runner.trace);
+            self.record_step(iteration, &runner.egraph, sink);
+            hook(&runner.egraph, root, iteration, sink);
         };
         let last = runner.iterations.last().unwrap_or(&step0);
         let counts = [
@@ -641,9 +643,70 @@ impl Liar {
             ("nodes", last.n_nodes as f64),
             ("classes", last.n_classes as f64),
         ];
-        runner.trace.end_with(span, &counts);
-        *sink = std::mem::replace(&mut runner.trace, TraceSink::off());
+        sink.end_with(span, &counts);
         (runner, root, stop_reason)
+    }
+
+    /// Derive the events of the step `it` records, right after it ran: the
+    /// flight recorder's rule events and, on `sink`, the `step` span with
+    /// its phase and per-rule spans, ban markers and growth counters. Spans
+    /// are laid out back from now by the recorded times, rule after rule in
+    /// a phase and phase after phase in the step, so each ends inside its
+    /// parent (a rule's time is a lap of its phase's clock).
+    fn record_step(&self, it: &Iteration, egraph: &ArrayEGraph, sink: &mut TraceSink) {
+        let step = it.index as f64;
+        if let Some(flight) = &self.flight {
+            for r in it.rules.iter().filter(|r| r.budget.is_none()) {
+                flight.record(FlightKind::RuleBanned, &r.name, step);
+            }
+            // The match stream stops exactly at the budget, so reaching it
+            // means the scheduler cut the rule short.
+            for r in &it.rules {
+                if let Some(limit) = r.budget.filter(|&l| l > 0 && r.matches >= l) {
+                    flight.record(FlightKind::BudgetTruncated, &r.name, limit as f64);
+                }
+            }
+            for r in it.rules.iter().filter(|r| r.applied > 0) {
+                flight.record(FlightKind::RuleFired, &r.name, r.applied as f64);
+            }
+        }
+        if !sink.on() {
+            return;
+        }
+        let us = |d: Duration| d.as_micros() as u64;
+        let start = sink.now_us().saturating_sub(us(it.total_time));
+        let step_span = sink.begin_at("step", start);
+        let search = sink.begin_at("search", start);
+        for r in it.rules.iter().filter(|r| r.budget.is_none()) {
+            sink.instant_at(format_args!("ban/{}", r.name), start, &[("step", step)]);
+        }
+        let mut t = start;
+        for r in it.rules.iter().filter(|r| r.budget.is_some()) {
+            let span = sink.begin_at(format_args!("search/{}", r.name), t);
+            t += us(r.search_time);
+            sink.end_at(span, t, &[("matches", r.matches as f64)]);
+        }
+        let apply_start = start + us(it.search_time);
+        let (candidates, matches) = (it.search_candidates as f64, it.search_matches as f64);
+        sink.end_at(search, apply_start, &[("candidates", candidates), ("matches", matches)]);
+        let apply = sink.begin_at("apply", apply_start);
+        let mut t = apply_start;
+        for r in &it.rules {
+            let span = sink.begin_at(format_args!("apply/{}", r.name), t);
+            t += us(r.apply_time);
+            sink.end_at(span, t, &[("changed", r.applied as f64)]);
+        }
+        let rebuild_start = apply_start + us(it.apply_time);
+        sink.end_at(apply, rebuild_start, &[]);
+        let rebuild = sink.begin_at("rebuild", rebuild_start);
+        let unions = [("unions", it.rebuild_unions as f64)];
+        sink.end_at(rebuild, rebuild_start + us(it.rebuild_time), &unions);
+        sink.end_at(step_span, start + us(it.total_time), &[("step", step)]);
+        // Growth gauges, sampled after the rebuild (when the counts are
+        // exact): e-nodes, e-classes, and hash-cons memo entries.
+        sink.counter("egraph/nodes", it.n_nodes as f64);
+        sink.counter("egraph/classes", it.n_classes as f64);
+        sink.counter("egraph/memo", egraph.memo_len() as f64);
     }
 
     /// The scheduler every pipeline mode uses.
@@ -699,7 +762,7 @@ impl Liar {
                 search_candidates: it.search_candidates,
                 frontier_candidates: it.search_candidates,
                 search_matches: it.search_matches,
-                applied: it.applied.clone(),
+                applied: it.rules.iter().map(|r| (r.name.clone(), r.applied)).collect(),
                 best,
                 cost,
                 lib_calls,
@@ -1057,7 +1120,7 @@ impl Liar {
                         discount_scale: scale,
                         profile: profile.name.to_string(),
                     };
-                    let span = sink.begin_args(format_args!("extract/{target}"));
+                    let span = sink.begin(format_args!("extract/{target}"));
                     let start = Instant::now();
                     let extractor = DagExtractor::with_flat(&flat, cost_fn);
                     let (cost, best) = extractor
@@ -1102,7 +1165,7 @@ impl Liar {
             // Proof production mutates the e-graph's provenance forest, so
             // it runs after the shared flatten is released.
             for sol in &mut solutions {
-                let span = sink.begin_args(format_args!("explain/{}", sol.target));
+                let span = sink.begin(format_args!("explain/{}", sol.target));
                 sol.proof = Some(egraph.explain_equivalence(expr, &sol.best));
                 let len = sol.proof.as_ref().map_or(0, |p| p.len());
                 sink.end_with(span, &[("proof_len", len as f64)]);
@@ -1125,7 +1188,223 @@ impl Liar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liar_egraph::RuleStep;
     use liar_ir::dsl;
+    use liar_trace::{Event, EventKind};
+
+    /// Saturate `expr` under `liar` with `rules` and no hook, recording on
+    /// `liar`'s trace recorder (if any); the sink is flushed on return.
+    fn saturate_with(
+        liar: &Liar,
+        expr: &Expr,
+        rules: &[ArrayRewrite],
+    ) -> Runner<ArrayLang, ArrayAnalysis> {
+        liar.saturate(expr, rules, &mut liar.sink(), |_, _, _, _| {}).0
+    }
+
+    /// An event as `<kind> <name> <arg>=<value>…`, without its times.
+    fn render(e: &Event) -> String {
+        let kind = match e.kind {
+            EventKind::Span => "S",
+            EventKind::Instant => "I",
+            EventKind::Counter => "C",
+        };
+        let args: String = e.args.iter().map(|(k, v)| format!(" {k}={v}")).collect();
+        format!("{kind} {}{args}", e.name)
+    }
+
+    /// What each rule did in a step, without its times.
+    fn rule_counts(it: &Iteration) -> Vec<(String, Option<usize>, [usize; 5])> {
+        let counts = |r: &RuleStep| {
+            [r.candidates, r.matches, r.applied, r.nodes_created, r.classes_merged]
+        };
+        it.rules.iter().map(|r| (r.name.clone(), r.budget, counts(r))).collect()
+    }
+
+    #[test]
+    fn step_events_are_derived_from_the_record_unchanged() {
+        // Four rules, three steps, and budgets small enough (the intro
+        // rules get 2) that rules are truncated, fire and are banned.
+        let rec = Recorder::new();
+        let flight = Arc::new(FlightRecorder::new(64));
+        let liar = Liar::new(Target::Blas)
+            .with_iter_limit(4)
+            .with_match_limit(8)
+            .with_trace(Arc::clone(&rec))
+            .with_flight(Arc::clone(&flight));
+        let keep = ["beta-reduce", "intro-lambda", "intro-index-build", "idiom-dot"];
+        let rules: Vec<ArrayRewrite> = rules_for_targets(&[Target::Blas], &RuleConfig::default())
+            .into_iter()
+            .filter(|r| keep.contains(&r.name()))
+            .collect();
+        let runner = saturate_with(&liar, &dsl::vsum(8, dsl::sym("xs")), &rules);
+
+        // Pinned from a runner that fed both streams itself: deriving them
+        // from the record must keep every kind, name, argument and order.
+        let flight_expected = [
+            "budget_truncated intro-lambda 2",
+            "rule_fired intro-lambda 2",
+            "rule_banned intro-lambda 2",
+            "budget_truncated intro-index-build 2",
+            "rule_fired intro-index-build 2",
+            "rule_banned intro-lambda 3",
+            "rule_banned intro-index-build 3",
+        ];
+        let trace_expected = [
+            "S saturate steps=3 nodes=16 classes=12",
+            "S step step=1",
+            "S search candidates=2 matches=2",
+            "S search/beta-reduce matches=0",
+            "S search/intro-lambda matches=2",
+            "S search/intro-index-build matches=0",
+            "S search/idiom-dot matches=0",
+            "S apply",
+            "S apply/beta-reduce changed=0",
+            "S apply/intro-lambda changed=2",
+            "S apply/intro-index-build changed=0",
+            "S apply/idiom-dot changed=0",
+            "S rebuild unions=0",
+            "C egraph/nodes value=13",
+            "C egraph/classes value=11",
+            "C egraph/memo value=13",
+            "S step step=2",
+            "S search candidates=3 matches=4",
+            "I ban/intro-lambda step=2",
+            "S search/beta-reduce matches=2",
+            "S search/intro-index-build matches=2",
+            "S search/idiom-dot matches=0",
+            "S apply",
+            "S apply/beta-reduce changed=0",
+            "S apply/intro-lambda changed=0",
+            "S apply/intro-index-build changed=2",
+            "S apply/idiom-dot changed=0",
+            "S rebuild unions=0",
+            "C egraph/nodes value=16",
+            "C egraph/classes value=12",
+            "C egraph/memo value=16",
+            "S step step=3",
+            "S search candidates=2 matches=2",
+            "I ban/intro-lambda step=3",
+            "I ban/intro-index-build step=3",
+            "S search/beta-reduce matches=2",
+            "S search/idiom-dot matches=0",
+            "S apply",
+            "S apply/beta-reduce changed=0",
+            "S apply/intro-lambda changed=0",
+            "S apply/intro-index-build changed=0",
+            "S apply/idiom-dot changed=0",
+            "S rebuild unions=0",
+            "C egraph/nodes value=16",
+            "C egraph/classes value=12",
+            "C egraph/memo value=16",
+        ];
+        let flight_got: Vec<String> = flight
+            .tail(64)
+            .iter()
+            .map(|e| format!("{} {} {}", e.kind.name(), e.detail, e.value))
+            .collect();
+        assert_eq!(flight_got, flight_expected);
+        let events = rec.events();
+        let trace_got: Vec<String> = events.iter().map(render).collect();
+        assert_eq!(trace_got, trace_expected);
+
+        // Each per-rule span lasts exactly its recorded time, inside its
+        // phase's span.
+        let us = |d: Duration| d.as_micros() as u64;
+        let (mut step, mut phase, mut checked) = (0, None::<&Event>, 0);
+        for e in events.iter().filter(|e| e.kind == EventKind::Span) {
+            let Some((phase_name, rule)) = e.name.split_once('/') else {
+                step += (e.name == "step") as usize;
+                if matches!(e.name.as_str(), "search" | "apply") {
+                    phase = Some(e);
+                }
+                continue;
+            };
+            let r = runner.iterations[step - 1].rules.iter().find(|r| r.name == rule).unwrap();
+            let time = if phase_name == "search" { r.search_time } else { r.apply_time };
+            assert_eq!(e.dur_us, us(time), "step {step}: {}", e.name);
+            let p = phase.expect("a phase span is open");
+            assert_eq!(p.name, phase_name, "step {step}: {} outside its phase", e.name);
+            assert!(p.start_us <= e.start_us, "step {step}: {} starts early", e.name);
+            assert!(e.start_us + e.dur_us <= p.start_us + p.dur_us, "step {step}: {}", e.name);
+            checked += 1;
+        }
+        let per_rule_spans: usize = runner
+            .iterations
+            .iter()
+            .map(|it| it.rules.len() + it.rules.iter().filter(|r| r.budget.is_some()).count())
+            .sum();
+        assert_eq!(checked, per_rule_spans);
+    }
+
+    #[test]
+    fn traced_runs_are_bit_identical_and_spans_nest() {
+        let expr = dsl::vsum(8, dsl::sym("xs"));
+        let rules = rules_for_targets(&[Target::Blas], &RuleConfig::default());
+        let liar = Liar::new(Target::Blas).with_iter_limit(4).with_match_limit(16);
+        let plain = saturate_with(&liar, &expr, &rules);
+        let rec = Recorder::new();
+        let traced = saturate_with(&liar.clone().with_trace(Arc::clone(&rec)), &expr, &rules);
+        assert_eq!(plain.stop_reason, traced.stop_reason);
+        assert_eq!(plain.iterations.len(), traced.iterations.len());
+        for (p, t) in plain.iterations.iter().zip(&traced.iterations) {
+            assert_eq!(p.n_nodes, t.n_nodes, "step {}", p.index);
+            assert_eq!(rule_counts(p), rule_counts(t), "step {}", p.index);
+            assert_eq!(p.search_matches, t.search_matches, "step {}", p.index);
+        }
+
+        let events = rec.events();
+        let spans = |name: &str| -> Vec<&Event> {
+            let named = |e: &&Event| e.kind == EventKind::Span && e.name == name;
+            events.iter().filter(named).collect()
+        };
+        let steps = spans("step");
+        assert_eq!(steps.len(), traced.iterations.len());
+        // Every phase span sits inside its step's span.
+        for phase in ["search", "apply", "rebuild"] {
+            let phases = spans(phase);
+            assert_eq!(phases.len(), steps.len(), "{phase} spans");
+            for (p, s) in phases.iter().zip(&steps) {
+                assert!(p.start_us >= s.start_us, "{phase} starts in step");
+                assert!(p.start_us + p.dur_us <= s.start_us + s.dur_us, "{phase} ends in step");
+            }
+        }
+        // Growth gauges sample every step, as counters not spans.
+        assert!(spans("egraph/nodes").is_empty());
+        let nodes = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Counter && e.name == "egraph/nodes")
+            .count();
+        assert_eq!(nodes, traced.iterations.len());
+    }
+
+    #[test]
+    fn each_unbanned_rule_gets_one_search_span_per_step() {
+        let expr = dsl::vsum(8, dsl::sym("xs"));
+        let rules = rules_for_targets(&[Target::Blas], &RuleConfig::default());
+        let rec = Recorder::new();
+        let liar = Liar::new(Target::Blas)
+            .with_iter_limit(4)
+            .with_match_limit(16)
+            .with_trace(Arc::clone(&rec));
+        let runner = saturate_with(&liar, &expr, &rules);
+        let events = rec.events();
+        let count = |name: String| events.iter().filter(|e| e.name == name).count();
+        let (mut empty, mut banned) = (0, 0);
+        for rule in &rules {
+            let steps = runner.iterations.iter().map(|it| {
+                it.rules.iter().find(|r| r.name == rule.name()).expect("every rule is recorded")
+            });
+            let searched = steps.clone().filter(|r| r.budget.is_some()).count();
+            // A rule whose root operator never occurs has no candidate
+            // class; it still gets its span every step it is not banned.
+            empty += steps.clone().filter(|r| r.budget.is_some() && r.candidates == 0).count();
+            banned += steps.len() - searched;
+            assert_eq!(count(format!("search/{}", rule.name())), searched, "{}", rule.name());
+            assert_eq!(count(format!("apply/{}", rule.name())), runner.iterations.len());
+        }
+        assert!(empty > 0 && banned > 0, "no empty candidate list ({empty}) or ban ({banned})");
+    }
 
     #[test]
     fn vsum_blas_finds_dot() {

@@ -57,7 +57,8 @@ impl<L: Language, D> EClass<L, D> {
 /// ```
 ///
 /// The runner reads them around each rule's apply to charge growth to
-/// that rule ([`Iteration::grown`](crate::Iteration::grown)).
+/// that rule ([`RuleStep::nodes_created`](crate::RuleStep::nodes_created)
+/// and [`RuleStep::classes_merged`](crate::RuleStep::classes_merged)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Growth {
     /// E-nodes (and with them e-classes) created.

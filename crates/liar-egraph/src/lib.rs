@@ -25,8 +25,11 @@
 //! * [`Rewrite`], [`Runner`], [`BackoffScheduler`] — saturation proper:
 //!   every step searches each rule, in rule order, with [`Rewrite::search`]
 //!   (the one search loop, which asks the rule's [`Searcher`] about its
-//!   candidate classes one at a time), with per-iteration reports of
-//!   e-node counts and timings (the raw data behind the paper's fig. 4).
+//!   candidate classes one at a time). The runner only records: each step's
+//!   [`Iteration`] holds e-node counts, phase times and one [`RuleStep`]
+//!   per rule (budget, matches, applications, growth, search and apply
+//!   time) — the raw data behind the paper's fig. 4, from which callers
+//!   derive spans and events.
 //! * [`Extract`], [`Extractor`], [`DagExtractor`] and [`CostFunction`] —
 //!   cost-based term extraction (the paper's §V-C extractors are cost
 //!   functions over this engine), with both tree-cost and DAG-cost
@@ -102,7 +105,7 @@ pub use machine::OraclePattern;
 pub use pattern::{Binding, Pattern, PatternNode, PatternParseError, Subst, Var};
 pub use rewrite::{Applier, Rewrite, SearchMatches, Searcher};
 pub use rng::SplitMix64;
-pub use runner::{Iteration, Runner, RunnerLimits, StopReason};
+pub use runner::{Iteration, RuleStep, Runner, RunnerLimits, StopReason};
 pub use scheduler::{BackoffScheduler, Scheduler, SimpleScheduler};
 pub use snapshot::{
     SnapshotAnalysis, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,

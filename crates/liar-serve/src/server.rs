@@ -851,8 +851,8 @@ fn process_job(job: Job, shared: &Arc<Shared>, sink: &mut TraceSink) {
         .queue_wait_us
         .fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
     let req_span = match &job.id {
-        Some(id) => sink.begin_args(format_args!("request/{id}")),
-        None => sink.begin_args(format_args!("request/{fp}")),
+        Some(id) => sink.begin(format_args!("request/{id}")),
+        None => sink.begin(format_args!("request/{fp}")),
     };
     // Single-flight: join an identical in-flight computation if one
     // exists, otherwise become the leader.

@@ -6,8 +6,8 @@
 //!
 //! 1. **Zero cost when disabled.** Every recording call first checks one
 //!    relaxed atomic load and branches away; no allocation, no clock
-//!    read, no lock. Call sites that would pay to *format* a span name
-//!    gate on [`TraceSink::on`] first.
+//!    read, no lock. Names are taken as [`std::fmt::Display`], so a
+//!    `format_args!` name is only formatted when recording is live.
 //! 2. **No perturbation of results.** The recorder only ever observes —
 //!    it never feeds back into search, scheduling, or extraction. The
 //!    repo's bit-identical determinism walls run with tracing on and off
@@ -40,6 +40,7 @@ pub mod prom;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot};
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -101,18 +102,12 @@ impl Recorder {
         })
     }
 
-    /// A new recorder that starts disabled (recording calls reduce to an
-    /// atomic load and a branch until [`Recorder::set_enabled`] flips it).
+    /// A new recorder that records nothing: every recording call on a
+    /// sink attached to it reduces to an atomic load and a branch.
     pub fn off() -> Arc<Recorder> {
         let r = Recorder::new();
         r.enabled.store(false, Ordering::Relaxed);
         r
-    }
-
-    /// Toggle recording. Spans already open keep their begin timestamps;
-    /// disabling only stops *new* events.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Whether recording calls currently record (one relaxed load).
@@ -156,11 +151,6 @@ impl Recorder {
     /// Lane names in registration order (indexable by [`Event::lane`]).
     pub fn lane_names(&self) -> Vec<String> {
         self.lanes.lock().unwrap().iter().map(|l| l.name.clone()).collect()
-    }
-
-    /// Drop all flushed events and lanes (the enabled flag is untouched).
-    pub fn clear(&self) {
-        self.lanes.lock().unwrap().clear();
     }
 
     /// Render every flushed event as Chrome trace-event JSON; see
@@ -242,60 +232,38 @@ impl TraceSink {
         }
     }
 
-    /// The recorder this sink feeds, if attached.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.shared.as_ref()
-    }
-
+    /// Microseconds from the recorder's epoch to now (0 when detached):
+    /// the clock the explicit-time forms ([`TraceSink::begin_at`],
+    /// [`TraceSink::end_at`], [`TraceSink::instant_at`]) are placed on.
     #[inline]
-    fn now_us(&self) -> u64 {
+    pub fn now_us(&self) -> u64 {
         match &self.shared {
             Some(r) => r.epoch.elapsed().as_micros() as u64,
             None => 0,
         }
     }
 
-    /// Open a span. Returns a token to pass to [`TraceSink::end`];
+    /// Open a span now. Returns a token to pass to [`TraceSink::end`];
     /// spans must close in LIFO order (enforced: an out-of-order end
-    /// closes the inner spans first).
-    pub fn begin(&mut self, name: &str) -> SpanToken {
+    /// closes the inner spans first). The name is only formatted when
+    /// recording is live, so hot loops can pass
+    /// `format_args!("search/{}", rule)` without paying for the string
+    /// when tracing is off.
+    pub fn begin(&mut self, name: impl Display) -> SpanToken {
         if !self.on() {
             return SpanToken::NOOP;
         }
-        self.begin_owned(name.to_string())
+        let now = self.now_us();
+        self.begin_at(name, now)
     }
 
-    /// [`TraceSink::begin`] for formatted names: the formatting only
-    /// happens when recording is live, so hot loops can write
-    /// `sink.begin_args(format_args!("search/{}", rule))` without paying
-    /// for the string when tracing is off.
-    pub fn begin_args(&mut self, name: std::fmt::Arguments<'_>) -> SpanToken {
+    /// [`TraceSink::begin`] at `start_us` on the [`TraceSink::now_us`]
+    /// clock, for spans laid out from durations measured elsewhere.
+    pub fn begin_at(&mut self, name: impl Display, start_us: u64) -> SpanToken {
         if !self.on() {
             return SpanToken::NOOP;
         }
-        self.begin_owned(name.to_string())
-    }
-
-    /// [`TraceSink::instant`] for formatted names; formats only when live.
-    pub fn instant_args(&mut self, name: std::fmt::Arguments<'_>, args: &[(&'static str, f64)]) {
-        if !self.on() {
-            return;
-        }
-        let name = name.to_string();
-        self.instant(&name, args);
-    }
-
-    fn begin_owned(&mut self, name: String) -> SpanToken {
-        let idx = self.buf.len();
-        self.buf.push(Event {
-            name,
-            lane: self.lane,
-            start_us: self.now_us(),
-            dur_us: 0,
-            self_us: 0,
-            kind: EventKind::Span,
-            args: Vec::new(),
-        });
+        let idx = self.push(name.to_string(), EventKind::Span, start_us, Vec::new());
         self.open.push(Open { idx, child_us: 0 });
         SpanToken(idx)
     }
@@ -305,14 +273,23 @@ impl TraceSink {
         self.end_with(token, &[]);
     }
 
-    /// Close a span, attaching numeric annotations gathered during it.
+    /// Close a span now, attaching numeric annotations gathered during it.
     pub fn end_with(&mut self, token: SpanToken, args: &[(&'static str, f64)]) {
         if token.0 == usize::MAX {
             return;
         }
         let now = self.now_us();
+        self.end_at(token, now, args);
+    }
+
+    /// [`TraceSink::end_with`] at `end_us` on the [`TraceSink::now_us`]
+    /// clock.
+    pub fn end_at(&mut self, token: SpanToken, end_us: u64, args: &[(&'static str, f64)]) {
+        if token.0 == usize::MAX {
+            return;
+        }
         while let Some(top) = self.open.pop() {
-            let dur = now.saturating_sub(self.buf[top.idx].start_us);
+            let dur = end_us.saturating_sub(self.buf[top.idx].start_us);
             self.buf[top.idx].dur_us = dur;
             self.buf[top.idx].self_us = dur.saturating_sub(top.child_us);
             if let Some(parent) = self.open.last_mut() {
@@ -325,36 +302,43 @@ impl TraceSink {
         }
     }
 
-    /// Record a point-in-time marker (e.g. a scheduler ban).
-    pub fn instant(&mut self, name: &str, args: &[(&'static str, f64)]) {
+    /// Record a point-in-time marker now (e.g. a scheduler ban).
+    pub fn instant(&mut self, name: impl Display, args: &[(&'static str, f64)]) {
         if !self.on() {
             return;
         }
-        self.buf.push(Event {
-            name: name.to_string(),
-            lane: self.lane,
-            start_us: self.now_us(),
-            dur_us: 0,
-            self_us: 0,
-            kind: EventKind::Instant,
-            args: args.to_vec(),
-        });
+        let now = self.now_us();
+        self.instant_at(name, now, args);
     }
 
-    /// Sample a counter (e.g. e-graph node count after a rebuild).
-    pub fn counter(&mut self, name: &str, value: f64) {
-        if !self.on() {
-            return;
+    /// [`TraceSink::instant`] at `at_us` on the [`TraceSink::now_us`]
+    /// clock.
+    pub fn instant_at(&mut self, name: impl Display, at_us: u64, args: &[(&'static str, f64)]) {
+        if self.on() {
+            self.push(name.to_string(), EventKind::Instant, at_us, args.to_vec());
         }
-        self.buf.push(Event {
-            name: name.to_string(),
-            lane: self.lane,
-            start_us: self.now_us(),
-            dur_us: 0,
-            self_us: 0,
-            kind: EventKind::Counter,
-            args: vec![("value", value)],
-        });
+    }
+
+    /// Sample a counter now (e.g. e-graph node count after a rebuild).
+    pub fn counter(&mut self, name: &str, value: f64) {
+        if self.on() {
+            let now = self.now_us();
+            self.push(name.to_string(), EventKind::Counter, now, vec![("value", value)]);
+        }
+    }
+
+    /// Append an event starting at `start_us` and return its index: the
+    /// one recording path behind every span, marker and counter.
+    fn push(
+        &mut self,
+        name: String,
+        kind: EventKind,
+        start_us: u64,
+        args: Vec<(&'static str, f64)>,
+    ) -> usize {
+        let (lane, dur_us, self_us) = (self.lane, 0, 0);
+        self.buf.push(Event { name, lane, start_us, dur_us, self_us, kind, args });
+        self.buf.len() - 1
     }
 
     /// Push this sink's buffered events into the shared recorder. Called
@@ -431,10 +415,42 @@ mod tests {
         let t = sink.begin("outer");
         sink.counter("n", 1.0);
         sink.instant("mark", &[]);
+        let laid_out = sink.begin_at("laid-out", 5);
+        sink.instant_at("mark-at", 6, &[]);
+        sink.end_at(laid_out, 7, &[]);
         sink.end(t);
         sink.flush();
         assert!(rec.events().is_empty());
         assert!(!sink.on());
+    }
+
+    #[test]
+    fn explicit_times_place_spans_and_keep_self_time() {
+        let rec = Recorder::new();
+        let mut sink = TraceSink::attached(&rec, "main");
+        let outer = sink.begin_at("outer", 100);
+        sink.instant_at("mark", 100, &[("step", 1.0)]);
+        for (start, end) in [(100, 130), (130, 160)] {
+            let inner = sink.begin_at(format_args!("inner/{start}"), start);
+            sink.end_at(inner, end, &[]);
+        }
+        sink.end_at(outer, 200, &[("k", 2.0)]);
+        sink.flush();
+        let events = rec.events();
+        let spans: Vec<_> = events
+            .iter()
+            .map(|e| (e.name.as_str(), e.kind, e.start_us, e.dur_us, e.self_us))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                ("outer", EventKind::Span, 100, 100, 40),
+                ("mark", EventKind::Instant, 100, 0, 0),
+                ("inner/100", EventKind::Span, 100, 30, 30),
+                ("inner/130", EventKind::Span, 130, 30, 30),
+            ]
+        );
+        assert_eq!(events[0].args, [("k", 2.0)]);
     }
 
     #[test]
@@ -519,23 +535,6 @@ mod tests {
         assert_eq!(events[0].lane, 0);
         assert_eq!(events[1].lane, 1);
         assert_eq!(rec.lane_names(), ["lane-a", "lane-b"]);
-    }
-
-    #[test]
-    fn toggling_enabled_gates_new_events_only() {
-        let rec = Recorder::new();
-        let mut sink = TraceSink::attached(&rec, "t");
-        let t = sink.begin("kept");
-        sink.end(t);
-        rec.set_enabled(false);
-        let t = sink.begin("dropped");
-        sink.end(t);
-        rec.set_enabled(true);
-        let t = sink.begin("kept-again");
-        sink.end(t);
-        sink.flush();
-        let names: Vec<_> = rec.events().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, ["kept", "kept-again"]);
     }
 
     #[test]
